@@ -2,8 +2,8 @@
 //!
 //! Each spec is an [`ExperimentSpec`]: metadata plus a `run` function that builds the
 //! independent cells of its method × workload × substrate matrix and fans them out via
-//! [`runner::run_cells`].  The `xp` binary and the legacy `src/bin/` entry points both
-//! execute these specs; DESIGN.md §5 holds the table/figure → id index.
+//! [`crate::scheduler::run_cells`].  The `xp` binary executes these specs; DESIGN.md §5
+//! holds the table/figure → id index.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -21,17 +21,9 @@ use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
-use crate::runner::{run_keyed_cells, ExperimentSpec, Format, Row, RunConfig};
+use crate::runner::{ExperimentSpec, Row, RunConfig, Value};
+use crate::scheduler::{par_map, run_keyed_cells};
 use crate::{build_run, build_run_sized, AppKind, Ordering, Scale};
-
-/// Canonical name of a scale for cell keys (lowercase, stable).
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
 
 /// All experiments, in the order of the paper's evaluation section.
 pub static EXPERIMENTS: &[ExperimentSpec] = &[
@@ -40,7 +32,7 @@ pub static EXPERIMENTS: &[ExperimentSpec] = &[
         aliases: &["t1", "table1_apps"],
         title: "Table 1: applications, inputs, synchronization (b=barrier, l=lock), object sizes",
         columns: &["app", "paper_input", "run_objects", "run_iterations", "sync", "object_bytes", "category"],
-        notes: &["Paper sizes are selected with REPRO_FULL=1 / --scale paper; the run_* columns show this run."],
+        notes: &["Paper sizes are selected with --scale paper; the run_* columns show this run."],
         run: run_table1,
     },
     ExperimentSpec {
@@ -321,13 +313,6 @@ pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     EXPERIMENTS.iter().find(|spec| spec.matches(name))
 }
 
-/// Entry point for the legacy `src/bin/` wrappers: run `id` with the environment
-/// configuration and print the text rendering (`xp <...>` is the full interface).
-pub fn print_legacy(id: &str) {
-    let spec = find(id).unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
-    print!("{}", spec.execute(&RunConfig::from_env()).render(Format::Text));
-}
-
 fn orderings_for(app: AppKind, dsm_order: bool) -> Vec<Ordering> {
     if app.is_category2() {
         // Category-2 applications are reported under both families; the paper lists
@@ -387,7 +372,7 @@ fn run_table2(cfg: &RunConfig) -> Vec<Row> {
         .flat_map(|app| orderings_for(app, false).into_iter().map(move |o| (app, o)))
         .map(|(app, ordering)| {
             let key = KeyBuilder::new("table2")
-                .field_str("scale", scale_name(scale))
+                .field_str("scale", scale.name())
                 .field_u64("seed", seed)
                 .field_usize("procs", par_procs)
                 .field_str("app", app.name())
@@ -433,7 +418,7 @@ fn run_table3(cfg: &RunConfig) -> Vec<Row> {
         .flat_map(|app| orderings_for(app, true).into_iter().map(move |o| (app, o)))
         .map(|(app, ordering)| {
             let key = KeyBuilder::new("table3")
-                .field_str("scale", scale_name(scale))
+                .field_str("scale", scale.name())
                 .field_u64("seed", seed)
                 .field_usize("procs", procs)
                 .field_str("app", app.name())
@@ -503,9 +488,7 @@ fn run_table4(cfg: &RunConfig) -> Vec<Row> {
     let n = if cfg.scale == Scale::Paper { 16_384 } else { 4_096 };
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(77);
-    let both = crate::runner::par_map(vec![false, true], |reorder| {
-        fmm_phase_costs(n, reorder, procs, seed)
-    });
+    let both = par_map(vec![false, true], |reorder| fmm_phase_costs(n, reorder, procs, seed));
     let (original, reordered) = (&both[0], &both[1]);
     let mut rows: Vec<Row> = original
         .iter()
@@ -704,7 +687,7 @@ fn run_fig07(cfg: &RunConfig) -> Vec<Row> {
         .iter()
         .map(|&app| {
             let key = KeyBuilder::new("fig07")
-                .field_str("scale", scale_name(scale))
+                .field_str("scale", scale.name())
                 .field_usize("procs", procs)
                 .field_u64("seed", seed)
                 .field_str("app", app.name())
@@ -729,9 +712,9 @@ fn run_fig07(cfg: &RunConfig) -> Vec<Row> {
         let original = speedup_of(Ordering::Original);
         let hilbert = speedup_of(Ordering::Reordered(Method::Hilbert));
         let column = if app.is_category2() {
-            crate::runner::Value::Float(speedup_of(Ordering::Reordered(Method::Column)))
+            Value::Float(speedup_of(Ordering::Reordered(Method::Column)))
         } else {
-            crate::runner::Value::Str("-".to_string())
+            Value::Str("-".to_string())
         };
         vec![Row { cells: vec![app.name().into(), original.into(), hilbert.into(), column] }]
     })
@@ -747,7 +730,7 @@ fn run_fig08_09(cfg: &RunConfig) -> Vec<Row> {
         .iter()
         .map(|&app| {
             let key = KeyBuilder::new("fig08_09")
-                .field_str("scale", scale_name(scale))
+                .field_str("scale", scale.name())
                 .field_usize("procs", procs)
                 .field_u64("seed", seed)
                 .field_str("app", app.name())
@@ -826,31 +809,21 @@ fn time_pipeline(
     width: KeyWidth,
     parallel: bool,
 ) -> (f64, f64, f64, Permutation) {
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
     if pipeline == "comparison" {
-        let t0 = Instant::now();
-        let keys = sort_keys(Method::Hilbert, points.len(), 3, quantizer, |i, d| coords[i * 3 + d]);
-        let key_ms = ms(t0);
-        let t0 = Instant::now();
-        let permutation = Permutation::from_sort_keys_comparison(&keys);
-        let rank_ms = ms(t0);
+        let (key_ms, keys) = time_ms(|| {
+            sort_keys(Method::Hilbert, points.len(), 3, quantizer, |i, d| coords[i * 3 + d])
+        });
+        let (rank_ms, permutation) = time_ms(|| Permutation::from_sort_keys_comparison(&keys));
         let objects = points.to_vec();
-        let t0 = Instant::now();
-        let gathered = permutation.apply_cloned(&objects);
-        let permute_ms = ms(t0);
+        let (permute_ms, gathered) = time_ms(|| permutation.apply_cloned(&objects));
         assert_eq!(gathered.len(), points.len());
         (key_ms, rank_ms, permute_ms, permutation)
     } else {
-        let t0 = Instant::now();
-        let keys = pack_keys(Method::Hilbert, 3, quantizer, coords, width, parallel);
-        let key_ms = ms(t0);
-        let t0 = Instant::now();
-        let permutation = keys.rank(parallel);
-        let rank_ms = ms(t0);
+        let (key_ms, keys) =
+            time_ms(|| pack_keys(Method::Hilbert, 3, quantizer, coords, width, parallel));
+        let (rank_ms, permutation) = time_ms(|| keys.rank(parallel));
         let mut objects = points.to_vec();
-        let t0 = Instant::now();
-        permutation.apply_in_place(&mut objects);
-        let permute_ms = ms(t0);
+        let (permute_ms, ()) = time_ms(|| permutation.apply_in_place(&mut objects));
         assert_eq!(objects.len(), points.len());
         (key_ms, rank_ms, permute_ms, permutation)
     }
@@ -925,14 +898,36 @@ fn run_bench_reorder_cost(cfg: &RunConfig) -> Vec<Row> {
     rows
 }
 
+/// Wall-clock milliseconds of `f`, with its result.
+fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let t0 = Instant::now();
+    let result = f();
+    (t0.elapsed().as_secs_f64() * 1e3, result)
+}
+
+/// The fastest of the timed samples, with the last sample's result.
+fn fastest<R>(samples: impl IntoIterator<Item = (f64, R)>) -> (f64, R) {
+    samples
+        .into_iter()
+        .reduce(|(best, _), (ms, result)| (best.min(ms), result))
+        .expect("at least one repetition")
+}
+
+/// Best-of-`reps` wall clock of one bench path: each repetition's state comes from
+/// `setup`, off the clock, and only `timed` is measured.  Every path the benches
+/// time is deterministic, so repetition only filters scheduler noise.
+fn best_of<S, R>(reps: usize, setup: impl Fn() -> S, timed: impl Fn(S) -> R) -> (f64, R) {
+    fastest((0..reps).map(|_| {
+        let state = setup();
+        time_ms(|| timed(state))
+    }))
+}
+
 fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
     let scale = cfg.scale;
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(61);
-    // Best-of-N wall clock per path: replay is deterministic, so repetition only
-    // filters scheduler noise out of the recorded throughput.
     let repetitions = if scale == Scale::Tiny { 1 } else { 3 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
     // This is a wall-clock-timing experiment: cells run *sequentially* so each replay
     // gets the whole machine (like the reorder-cost bench).
     let mut rows = Vec::new();
@@ -953,41 +948,28 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         let preset = OriginPreset::origin2000(procs);
 
         // Path 1 — the preserved scan-based baseline over the materialized trace.
-        let mut ref_ms = f64::INFINITY;
-        let mut ref_result = None;
-        for _ in 0..repetitions {
-            let mut reference = ReferenceSim::new(procs, preset.l2, preset.tlb);
-            let t0 = Instant::now();
-            let result = reference.run_trace_with_layout(&run.trace, &run.layout);
-            ref_ms = ref_ms.min(ms(t0));
-            ref_result = Some(result);
-        }
-        let ref_result = ref_result.expect("at least one repetition");
+        let (ref_ms, ref_result) = best_of(
+            repetitions,
+            || ReferenceSim::new(procs, preset.l2, preset.tlb),
+            |mut reference| reference.run_trace_with_layout(&run.trace, &run.layout),
+        );
 
         // Path 2 — the directory machine over the same materialized trace.
-        let mut mat_ms = f64::INFINITY;
-        let mut mat_result = None;
-        for _ in 0..repetitions {
-            let mut machine = preset.build_machine();
-            let t0 = Instant::now();
-            let result = machine.run_trace_with_layout(&run.trace, &run.layout);
-            mat_ms = mat_ms.min(ms(t0));
-            mat_result = Some(result);
-        }
-        let mat_result = mat_result.expect("at least one repetition");
+        let (mat_ms, mat_result) = best_of(
+            repetitions,
+            || preset.build_machine(),
+            |mut machine| machine.run_trace_with_layout(&run.trace, &run.layout),
+        );
 
         // Path 3 — the directory machine fed through the streaming sink.
-        let mut stream_ms = f64::INFINITY;
-        let mut stream_result = None;
-        for _ in 0..repetitions {
-            let mut sink = SimSink::new(preset.build_machine(), run.layout.clone());
-            let t0 = Instant::now();
-            run.trace.replay_into(&mut sink);
-            let result = sink.finish();
-            stream_ms = stream_ms.min(ms(t0));
-            stream_result = Some(result);
-        }
-        let stream_result = stream_result.expect("at least one repetition");
+        let (stream_ms, stream_result) = best_of(
+            repetitions,
+            || SimSink::new(preset.build_machine(), run.layout.clone()),
+            |mut sink| {
+                run.trace.replay_into(&mut sink);
+                sink.finish()
+            },
+        );
 
         // Identical counters across all three paths is a hard correctness requirement,
         // not a statistical expectation — a divergence here is a simulator bug.
@@ -1079,18 +1061,16 @@ fn summarize_bench_paths(
     speedup_col: usize,
 ) -> Vec<PathSummary> {
     let cell = |r: &Row, i: usize| match &r.cells[i] {
-        crate::runner::Value::Int(v) => *v as f64,
-        crate::runner::Value::Float(v) => *v,
-        crate::runner::Value::Str(_) => 0.0,
+        Value::Int(v) => *v as f64,
+        Value::Float(v) => *v,
+        Value::Str(_) => 0.0,
     };
     paths
         .iter()
         .copied()
         .map(|path| {
-            let path_rows: Vec<&Row> = rows
-                .iter()
-                .filter(|r| r.cells[path_col] == crate::runner::Value::Str(path.into()))
-                .collect();
+            let path_rows: Vec<&Row> =
+                rows.iter().filter(|r| r.cells[path_col] == Value::Str(path.into())).collect();
             let accesses: f64 = path_rows.iter().map(|r| cell(r, accesses_col)).sum();
             let ms: f64 = path_rows.iter().map(|r| cell(r, ms_col)).sum();
             let geomean_speedup =
@@ -1125,10 +1105,11 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(71);
     let config = DsmConfig::cluster(procs);
-    // Best-of-N wall clock per path: evaluation is deterministic, so repetition only
-    // filters scheduler noise out of the recorded throughput.
     let repetitions = if scale == Scale::Tiny { 1 } else { 3 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+    // Both parallel protocol simulators over one reduced history.
+    let protocols = |history: &PageWriteHistory| {
+        (TreadMarksSim::new(config).run_history(history), HlrcSim::new(config).run_history(history))
+    };
     // This is a wall-clock-timing experiment: cells run *sequentially* so each path
     // gets the whole machine (like the sim-throughput bench).
     let mut rows = Vec::new();
@@ -1138,46 +1119,35 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
 
         // Path 1 — the preserved map-based serial pipeline; like the historical
         // `run_with_layout`, each protocol re-reduces the trace from scratch.
-        let mut ref_ms = f64::INFINITY;
-        let mut ref_results = None;
-        for _ in 0..repetitions {
-            let t0 = Instant::now();
-            let tmk = dsm::reference::run_treadmarks(config, &run.trace, &run.layout);
-            let hlrc = dsm::reference::run_hlrc(config, &run.trace, &run.layout);
-            ref_ms = ref_ms.min(ms(t0));
-            ref_results = Some((tmk, hlrc));
-        }
-        let ref_results = ref_results.expect("at least one repetition");
+        let (ref_ms, ref_results) = best_of(
+            repetitions,
+            || (),
+            |()| {
+                let tmk = dsm::reference::run_treadmarks(config, &run.trace, &run.layout);
+                let hlrc = dsm::reference::run_hlrc(config, &run.trace, &run.layout);
+                (tmk, hlrc)
+            },
+        );
 
         // Path 2 — one flat reduction of the materialized trace feeds both parallel
         // simulators.
-        let mut mat_ms = f64::INFINITY;
-        let mut mat_results = None;
-        for _ in 0..repetitions {
-            let t0 = Instant::now();
-            let history = PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes);
-            let tmk = TreadMarksSim::new(config).run_history(&history);
-            let hlrc = HlrcSim::new(config).run_history(&history);
-            mat_ms = mat_ms.min(ms(t0));
-            mat_results = Some((tmk, hlrc));
-        }
-        let mat_results = mat_results.expect("at least one repetition");
+        let (mat_ms, mat_results) = best_of(
+            repetitions,
+            || (),
+            |()| protocols(&PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes)),
+        );
 
         // Path 3 — the trace streams through a PageHistorySink (the no-materialized-
         // trace path applications use) into the same simulators.
-        let mut stream_ms = f64::INFINITY;
-        let mut stream_results = None;
-        for _ in 0..repetitions {
-            let t0 = Instant::now();
-            let mut sink = PageHistorySink::new(run.layout.clone(), procs, config.page_bytes);
-            run.trace.replay_into(&mut sink);
-            let history = sink.finish();
-            let tmk = TreadMarksSim::new(config).run_history(&history);
-            let hlrc = HlrcSim::new(config).run_history(&history);
-            stream_ms = stream_ms.min(ms(t0));
-            stream_results = Some((tmk, hlrc));
-        }
-        let stream_results = stream_results.expect("at least one repetition");
+        let (stream_ms, stream_results) = best_of(
+            repetitions,
+            || (),
+            |()| {
+                let mut sink = PageHistorySink::new(run.layout.clone(), procs, config.page_bytes);
+                run.trace.replay_into(&mut sink);
+                protocols(&sink.finish())
+            },
+        );
 
         // Bit-identical DsmRunResults (aggregate + per-processor, both protocols)
         // across all three paths is a hard correctness requirement, not a statistical
@@ -1249,11 +1219,7 @@ fn run_bench_gen_throughput(cfg: &RunConfig) -> Vec<Row> {
     let scale = cfg.scale;
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(81);
-    // Best-of-N wall clock per path: generation is deterministic (both paths produce
-    // bit-identical streams), so repetition only filters scheduler noise.
     let repetitions = if scale == Scale::Tiny { 1 } else { 3 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    let total_accesses = |r: &SimulationResult| r.per_proc.iter().map(|p| p.accesses).sum::<u64>();
     // This is a wall-clock-timing experiment: cells run *sequentially*, and the
     // sharded path fans each cell's virtual processors out over all host cores (like
     // the sim-throughput bench, which times the consumer side of the same pipeline).
@@ -1266,32 +1232,17 @@ fn run_bench_gen_throughput(cfg: &RunConfig) -> Vec<Row> {
         let preset = OriginPreset::origin2000(procs);
 
         // Path 1 — the preserved serial traced specs feeding the streaming sink.
-        let mut serial_ms = f64::INFINITY;
-        let mut serial_result = None;
-        for _ in 0..repetitions {
-            let mut live = initial.clone();
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
+        let fresh = || (initial.clone(), SimSink::new(preset.build_machine(), layout.clone()));
+        let (serial_ms, serial_result) = best_of(repetitions, fresh, |(mut live, mut sink)| {
             live.stream_serial(iters, &mut sink);
-            let result = sink.finish();
-            serial_ms = serial_ms.min(ms(t0));
-            serial_result = Some(result);
-        }
-        let serial_result = serial_result.expect("at least one repetition");
+            sink.finish()
+        });
 
         // Path 2 — sharded parallel generation into the identical sink.
-        let mut sharded_ms = f64::INFINITY;
-        let mut sharded_result = None;
-        for _ in 0..repetitions {
-            let mut live = initial.clone();
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
+        let (sharded_ms, sharded_result) = best_of(repetitions, fresh, |(mut live, mut sink)| {
             live.stream_sharded(iters, &mut sink);
-            let result = sink.finish();
-            sharded_ms = sharded_ms.min(ms(t0));
-            sharded_result = Some(result);
-        }
-        let sharded_result = sharded_result.expect("at least one repetition");
+            sink.finish()
+        });
 
         // Identical counters across both producers is a hard correctness requirement,
         // not a statistical expectation — a divergence here is a sharding bug.
@@ -1302,7 +1253,7 @@ fn run_bench_gen_throughput(cfg: &RunConfig) -> Vec<Row> {
             app.name()
         );
 
-        let accesses = total_accesses(&serial_result);
+        let accesses = serial_result.totals().accesses;
         let paths: [(&str, f64, &SimulationResult); 2] =
             [("serial", serial_ms, &serial_result), ("sharded", sharded_ms, &sharded_result)];
         for (path, path_ms, result) in paths {
@@ -1347,11 +1298,7 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
     let scale = cfg.scale;
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(101);
-    // Best-of-N wall clock per path: both paths are deterministic, so repetition only
-    // filters scheduler noise.
     let repetitions = if scale == Scale::Tiny { 1 } else { 5 };
-    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
-    let total_accesses = |r: &SimulationResult| r.per_proc.iter().map(|p| p.accesses).sum::<u64>();
     // Wall-clock-timing experiment: cells run sequentially (see the gen-throughput
     // bench, which times the producer side of the same pipeline).
     let mut rows = Vec::new();
@@ -1381,31 +1328,27 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
         // same scheduler and frequency conditions, so the marginal apps — where the
         // paths are within a few percent — are not decided by drift between two
         // back-to-back timing blocks.
-        let mut live_ms = f64::INFINITY;
-        let mut live_result = None;
-        let mut replay_ms = f64::INFINITY;
-        let mut replay_result = None;
-        for _ in 0..repetitions {
-            // Path 1 — live generation into the streaming sink (the status quo).
-            let mut live = initial.clone();
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
-            live.stream_sharded(iters, &mut sink);
-            let result = sink.finish();
-            live_ms = live_ms.min(ms(t0));
-            live_result = Some(result);
-
-            // Path 2 — decode the corpus from disk into the identical sink.
-            let mut reader = CorpusReader::open(&corpus_path).expect("open trace corpus");
-            let mut sink = SimSink::new(preset.build_machine(), layout.clone());
-            let t0 = Instant::now();
-            reader.replay_into(&mut sink).expect("decode trace corpus");
-            let result = sink.finish();
-            replay_ms = replay_ms.min(ms(t0));
-            replay_result = Some(result);
-        }
-        let live_result = live_result.expect("at least one repetition");
-        let replay_result = replay_result.expect("at least one repetition");
+        let (live, replay): (Vec<_>, Vec<_>) = (0..repetitions)
+            .map(|_| {
+                // Path 1 — live generation into the streaming sink (the status quo).
+                let mut app = initial.clone();
+                let mut sink = SimSink::new(preset.build_machine(), layout.clone());
+                let live = time_ms(|| {
+                    app.stream_sharded(iters, &mut sink);
+                    sink.finish()
+                });
+                // Path 2 — decode the corpus from disk into the identical sink.
+                let mut reader = CorpusReader::open(&corpus_path).expect("open trace corpus");
+                let mut sink = SimSink::new(preset.build_machine(), layout.clone());
+                let replay = time_ms(|| {
+                    reader.replay_into(&mut sink).expect("decode trace corpus");
+                    sink.finish()
+                });
+                (live, replay)
+            })
+            .unzip();
+        let (live_ms, live_result) = fastest(live);
+        let (replay_ms, replay_result) = fastest(replay);
         std::fs::remove_file(&corpus_path).ok();
 
         // Bit-identical counters across both paths is a hard correctness requirement —
@@ -1417,7 +1360,7 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
             app.name()
         );
 
-        let accesses = total_accesses(&live_result);
+        let accesses = live_result.totals().accesses;
         assert_eq!(accesses, corpus.accesses, "corpus summary disagrees with the sink");
         let paths: [(&str, f64, &SimulationResult); 2] =
             [("live", live_ms, &live_result), ("replay", replay_ms, &replay_result)];
@@ -1466,7 +1409,7 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(31);
     // Stage 1: trace the two reordered versions in parallel.
-    let traces = crate::runner::par_map(vec![Method::Hilbert, Method::Column], |method| {
+    let traces = par_map(vec![Method::Hilbert, Method::Column], |method| {
         let mut sim = Moldyn::lattice(n, seed, MoldynParams::default());
         sim.reorder(method);
         (sim.trace_steps(2, procs), sim.layout())
@@ -1487,7 +1430,7 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
         .collect();
     run_keyed_cells(keyed, move |unit| {
         let mut message_counts = Vec::new();
-        let mut cells: Vec<crate::runner::Value> = vec![unit.into()];
+        let mut cells: Vec<Value> = vec![unit.into()];
         for (trace, layout) in traces {
             let sim = TreadMarksSim::new(DsmConfig::new(unit, procs));
             let r = sim.run_with_layout(trace, layout);
@@ -1504,6 +1447,7 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Format;
 
     #[test]
     fn registry_ids_and_aliases_are_unique() {
@@ -1517,8 +1461,29 @@ mod tests {
         assert_eq!(
             all().len(),
             17,
-            "12 legacy specs + the reorder-cost, sim-, dsm-, gen- and trace-throughput benches"
+            "12 paper specs + the reorder-cost, sim-, dsm-, gen- and trace-throughput benches"
         );
+    }
+
+    #[test]
+    fn former_binary_names_resolve_to_their_specs() {
+        // `xp run <name>` keeps every name the per-experiment binaries used to have.
+        for (name, id) in [
+            ("table1_apps", "table1"),
+            ("table2_origin", "table2"),
+            ("table3_dsm", "table3"),
+            ("table4_fmm_breakdown", "table4"),
+            ("fig01_04_particle_pages", "fig01_04"),
+            ("fig02_05_page_sharing", "fig02_05"),
+            ("fig03_orderings", "fig03"),
+            ("fig06_boundary", "fig06"),
+            ("fig07_origin_speedups", "fig07"),
+            ("fig08_09_dsm_speedups", "fig08_09"),
+            ("ablation_reorder_frequency", "ablation_reorder_frequency"),
+            ("ablation_unit_sweep", "ablation_unit_sweep"),
+        ] {
+            assert_eq!(find(name).map(|spec| spec.id), Some(id), "{name}");
+        }
     }
 
     #[test]
@@ -1534,7 +1499,7 @@ mod tests {
     #[test]
     fn fig03_runs_quickly_and_produces_full_grid() {
         let spec = find("fig03").unwrap();
-        let result = spec.execute(&RunConfig::from_env());
+        let result = spec.execute(&RunConfig::default());
         // 4 methods × 8 grid rows.
         assert_eq!(result.rows.len(), 32);
         for row in &result.rows {
@@ -1618,9 +1583,7 @@ mod tests {
         assert!(json.contains("\"speedup_vs_live\": 1"), "live speedup vs itself is 1.0");
         // Every recorded corpus must beat the packed 4-byte in-memory stream.
         for row in &result.rows {
-            if let (crate::runner::Value::Str(app), crate::runner::Value::Float(bpa)) =
-                (&row.cells[0], &row.cells[8])
-            {
+            if let (Value::Str(app), Value::Float(bpa)) = (&row.cells[0], &row.cells[8]) {
                 if app != "(all)" {
                     assert!(*bpa < 4.0, "{app}: {bpa} bytes/access");
                 }
@@ -1638,7 +1601,7 @@ mod tests {
     #[test]
     fn fig01_04_produces_one_row_per_processor_per_figure() {
         let spec = find("fig01_04").unwrap();
-        let result = spec.execute(&RunConfig::from_env());
+        let result = spec.execute(&RunConfig::default());
         assert_eq!(result.rows.len(), 8, "2 figures x 4 processors");
         let json = result.render(Format::Json);
         assert!(json.contains("\"figure\": \"Figure 1 (original)\""));

@@ -1,10 +1,10 @@
 //! # `repro-bench` — experiment harness for every table and figure of the paper
 //!
 //! Each table and figure of the evaluation section is a declarative spec in
-//! [`experiments`], executed by the parallel [`runner`] and reachable both through the
-//! unified `xp` binary (`xp table 2`, `xp fig 5 --format json`) and through the legacy
-//! per-experiment binaries in `src/bin/` (see DESIGN.md §5 for the index).  The shared
-//! application plumbing lives at the crate root:
+//! [`experiments`], executed by the [`scheduler`] and rendered by the [`runner`], and
+//! reachable through the unified `xp` binary (`xp table 2`, `xp fig 5 --format json`;
+//! see DESIGN.md §5 for the index).  The shared application plumbing lives at the
+//! crate root:
 //!
 //! * [`AppKind`] / [`Ordering`] — the five benchmark applications and the data
 //!   orderings compared (original random order, Hilbert, Morton, column, row);
@@ -12,16 +12,14 @@
 //!   an access trace over a given number of virtual processors, and report the cost of
 //!   the reordering call itself (the "Cost of Reorder" columns of Tables 2 and 3);
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
-//!   `Small` uses reduced sizes so every experiment binary finishes in seconds.  Select
-//!   the paper sizes by setting the environment variable `REPRO_FULL=1`.
-//!
-//! All binaries print plain-text tables to stdout so their output can be diffed against
-//! EXPERIMENTS.md.
+//!   `Small` (the default) uses reduced sizes so every experiment finishes in
+//!   seconds, and `Tiny` is for smoke tests.  `xp --scale` selects one.
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod experiments;
+pub mod json;
 pub mod runner;
 pub mod scheduler;
 pub mod serve;
@@ -31,7 +29,7 @@ use std::time::Instant;
 
 use molecular::{Moldyn, MoldynParams, WaterSpatial, WaterSpatialParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
-use reorder::Method;
+use reorder::{Method, Reordering};
 use smtrace::{ObjectLayout, ProgramTrace, TraceBuilder, TraceSink};
 use unstructured::{Unstructured, UnstructuredParams};
 
@@ -120,24 +118,36 @@ impl Ordering {
 }
 
 /// Problem sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Smoke-test sizes: every experiment finishes in well under a second (used by
     /// the CI `xp bench reorder-cost --scale tiny` step).
     Tiny,
-    /// Reduced sizes so every binary runs in seconds (default).
+    /// Reduced sizes so every experiment runs in seconds (default).
+    #[default]
     Small,
     /// The paper's Table 1 sizes (65 536 bodies, 32 768 molecules, …).
     Paper,
 }
 
 impl Scale {
-    /// Read the scale from the `REPRO_FULL` environment variable (`1` → paper sizes).
-    pub fn from_env() -> Scale {
-        if std::env::var("REPRO_FULL").map(|v| v == "1").unwrap_or(false) {
-            Scale::Paper
-        } else {
-            Scale::Small
+    /// Parse a scale name (`xp --scale`, the serve `"scale"` field); `full` is
+    /// accepted as a synonym of `paper`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "paper" | "full" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
+    /// Canonical lowercase name, as written into artifacts and cell keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
         }
     }
 
@@ -206,7 +216,7 @@ pub fn build_run(
 }
 
 /// Like [`build_run`] but with explicit object count and iteration count (used by the
-/// figure binaries that need specific sizes, e.g. 168 or 32 768 bodies).
+/// figure specs that need specific sizes, e.g. 168 or 32 768 bodies).
 pub fn build_run_sized(
     app: AppKind,
     ordering: Ordering,
@@ -216,9 +226,14 @@ pub fn build_run_sized(
     seed: u64,
 ) -> AppRun {
     let mut live = LiveApp::build(app, n, seed);
-    let reorder_seconds = apply_ordering(ordering, |m| {
-        live.reorder(m);
-    });
+    let reorder_seconds = match ordering {
+        Ordering::Original => 0.0,
+        Ordering::Reordered(m) => {
+            let t0 = Instant::now();
+            live.reorder(m);
+            t0.elapsed().as_secs_f64()
+        }
+    };
     let layout = live.layout();
     let num_objects = live.num_objects();
     let mut builder = TraceBuilder::new(layout.clone(), num_procs);
@@ -284,23 +299,13 @@ impl LiveApp {
     }
 
     /// Apply a data reordering (the library call under study).
-    pub fn reorder(&mut self, method: Method) {
+    pub fn reorder(&mut self, method: Method) -> Reordering {
         match self {
-            LiveApp::BarnesHut(a) => {
-                a.reorder(method);
-            }
-            LiveApp::Fmm(a) => {
-                a.reorder(method);
-            }
-            LiveApp::WaterSpatial(a) => {
-                a.reorder(method);
-            }
-            LiveApp::Moldyn(a) => {
-                a.reorder(method);
-            }
-            LiveApp::Unstructured(a) => {
-                a.reorder(method);
-            }
+            LiveApp::BarnesHut(a) => a.reorder(method),
+            LiveApp::Fmm(a) => a.reorder(method),
+            LiveApp::WaterSpatial(a) => a.reorder(method),
+            LiveApp::Moldyn(a) => a.reorder(method),
+            LiveApp::Unstructured(a) => a.reorder(method),
         }
     }
 
@@ -332,17 +337,6 @@ impl LiveApp {
     }
 }
 
-fn apply_ordering(ordering: Ordering, mut reorder: impl FnMut(Method)) -> f64 {
-    match ordering {
-        Ordering::Original => 0.0,
-        Ordering::Reordered(m) => {
-            let t0 = Instant::now();
-            reorder(m);
-            t0.elapsed().as_secs_f64()
-        }
-    }
-}
-
 /// Format a floating-point value with engineering-friendly width for the text tables.
 pub fn fmt_f(v: f64) -> String {
     if v == 0.0 {
@@ -353,30 +347,6 @@ pub fn fmt_f(v: f64) -> String {
         format!("{v:.2}")
     } else {
         format!("{v:.4}")
-    }
-}
-
-/// Print a simple aligned text table: a header row followed by data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(8) + 2))
-            .collect::<String>()
-    };
-    println!("{}", line(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
-    for row in rows {
-        println!("{}", line(row));
     }
 }
 
@@ -430,12 +400,18 @@ mod tests {
     }
 
     #[test]
-    fn table_formatting_does_not_panic() {
-        print_table(
-            "test",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "44444".into()]],
-        );
+    fn scale_names_round_trip() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+            assert_eq!(scale.name(), format!("{scale:?}").to_lowercase());
+        }
+        assert_eq!(Scale::parse("full"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("galactic"), None);
+        assert_eq!(Scale::default(), Scale::Small);
+    }
+
+    #[test]
+    fn float_formatting() {
         assert_eq!(fmt_f(0.0), "0");
         assert_eq!(fmt_f(123.4), "123");
         assert_eq!(fmt_f(1.5), "1.50");

@@ -1,41 +1,24 @@
-//! The experiment runner: declarative specs, parallel cell execution, and
+//! The declarative side of the experiment harness: specs, results, and
 //! machine-readable output.
 //!
 //! Every table, figure, and ablation of the paper is described by an
 //! [`ExperimentSpec`]: an id, a column list, a note block, and a `run` function that
 //! maps a [`RunConfig`] to data [`Row`]s.  The specs live in
-//! [`crate::experiments`]; the `xp` binary (crate `xp-cli`) and the legacy per-table
-//! binaries in `src/bin/` are both thin shells over this module.
+//! [`crate::experiments`]; the `xp` binary (crate `xp-cli`) is a thin shell over
+//! this module.
 //!
-//! Independent cells of an experiment's method × workload × substrate matrix are
-//! executed in parallel via [`run_cells`] (rayon worker threads, order-preserving),
-//! and results render as aligned text, JSON, or CSV via [`ExperimentResult::render`].
-//!
-//! # Fault isolation and scheduling
-//!
-//! Each cell attempt runs inside `catch_unwind` on a pool worker, so one panicking
-//! or failing cell can no longer abort a whole experiment: the runner classifies
-//! every cell into a [`CellOutcome`] (ok / failed / panicked / timed-out against a
-//! wall-clock watchdog), retries failures with bounded deterministic backoff
-//! ([`FaultPolicy`]), and ships the surviving rows plus a failure summary through
-//! every output format.  See DESIGN.md §13 for the full fault model.
-//!
-//! Since PR 9 the *execution* machinery lives in [`crate::scheduler`] (fair
-//! bounded dispatch across concurrent experiments, the content-addressed cell
-//! cache hook, streamed per-cell events for `xp serve`) — this module keeps the
-//! declarative side (specs, results, rendering) and re-exports the execution API
-//! under its historical paths, so `repro_bench::runner::run_cells` et al. keep
-//! working.
+//! Cells execute in [`crate::scheduler`] (guarded parallel execution with bounded
+//! retries, fair dispatch, the cell cache hook; DESIGN.md §13 has the fault model).
+//! An [`ExperimentResult`] carries the surviving rows plus every interesting
+//! [`CellOutcome`], and renders as aligned text, JSON, or CSV through
+//! [`ExperimentResult::render`].
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::json::{json_f64, json_string};
+use crate::scheduler::{CellOutcome, CellStatus, FaultPolicy};
 use crate::{fmt_f, Scale};
-
-pub use crate::scheduler::{
-    par_map, run_cells, run_cells_with_policy, run_keyed_cells, CellOutcome, CellStatus,
-    FaultPolicy,
-};
 
 /// One cell value: a label, a count, or a measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +32,8 @@ pub enum Value {
 }
 
 impl Value {
-    /// Render for the aligned text table (floats use the engineering format the
-    /// legacy binaries used).
+    /// Render for the aligned text table (floats use the engineering format of
+    /// [`fmt_f`]).
     pub fn as_text(&self) -> String {
         match self {
             Value::Str(s) => s.clone(),
@@ -135,25 +118,21 @@ macro_rules! row {
     };
 }
 
-/// Knobs shared by every experiment.
-#[derive(Debug, Clone, Copy)]
+/// Knobs shared by every experiment.  The default is `Small` scale with no
+/// overrides.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunConfig {
     /// Problem sizes: `Small` (seconds per experiment) or `Paper` (Table 1 sizes).
     pub scale: Scale,
     /// Override for the experiment's virtual-processor count (default: the count the
     /// paper uses for that experiment, usually 16).
     pub procs: Option<usize>,
-    /// Override for the workload seed (default: the per-experiment seed the legacy
-    /// binaries shipped with, so recorded outputs stay reproducible).
+    /// Override for the workload seed (default: the spec's own per-experiment seed,
+    /// so recorded outputs stay reproducible).
     pub seed: Option<u64>,
 }
 
 impl RunConfig {
-    /// Scale from `REPRO_FULL`, no overrides — the legacy binaries' behaviour.
-    pub fn from_env() -> Self {
-        RunConfig { scale: Scale::from_env(), procs: None, seed: None }
-    }
-
     /// The processor count to use where the spec's default is `default`.
     pub fn procs_or(&self, default: usize) -> usize {
         self.procs.unwrap_or(default)
@@ -171,7 +150,7 @@ pub struct ExperimentSpec {
     pub id: &'static str,
     /// Alternative names accepted by lookup (`fig2`, `fig5`, ...).
     pub aliases: &'static [&'static str],
-    /// Human title (the legacy binary's table caption).
+    /// Human title (the text table's caption).
     pub title: &'static str,
     /// Column identifiers, snake_case, shared by all output formats.
     pub columns: &'static [&'static str],
@@ -227,7 +206,7 @@ impl ExperimentSpec {
 /// Output format selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// Aligned table plus notes (the legacy binaries' stdout shape).
+    /// Aligned table plus notes.
     Text,
     /// One self-describing JSON object.
     Json,
@@ -364,7 +343,7 @@ impl ExperimentResult {
         }
         let _ = writeln!(
             out,
-            "\nscale: {:?}  (elapsed {:.2}s; set REPRO_FULL=1 or pass --scale paper for paper sizes)",
+            "\nscale: {:?}  (elapsed {:.2}s; pass --scale paper for paper sizes)",
             self.config.scale, self.elapsed_seconds
         );
         out
@@ -375,11 +354,7 @@ impl ExperimentResult {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"experiment\": {},", json_string(self.id));
         let _ = writeln!(out, "  \"title\": {},", json_string(self.title));
-        let _ = writeln!(
-            out,
-            "  \"scale\": {},",
-            json_string(&format!("{:?}", self.config.scale).to_lowercase())
-        );
+        let _ = writeln!(out, "  \"scale\": {},", json_string(self.config.scale.name()));
         if let Some(procs) = self.config.procs {
             let _ = writeln!(out, "  \"procs_override\": {procs},");
         }
@@ -462,37 +437,6 @@ impl ExperimentResult {
     }
 }
 
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-pub(crate) fn json_f64(f: f64) -> String {
-    if f.is_finite() {
-        let s = format!("{f}");
-        // JSON numbers need a decimal point or exponent-free integer form; `{}` on an
-        // integral f64 prints e.g. "3", which is valid JSON too.
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 fn csv_field(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -504,6 +448,7 @@ fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::run_cells;
 
     fn demo_spec() -> ExperimentSpec {
         ExperimentSpec {
@@ -517,11 +462,7 @@ mod tests {
                     vec![row![format!("cell{i}"), i * 10, i as f64 / 2.0]]
                 })
                 .into_iter()
-                .chain(std::iter::once(row![
-                    format!("{:?}", cfg.scale).to_lowercase(),
-                    0usize,
-                    0.0
-                ]))
+                .chain(std::iter::once(row![cfg.scale.name(), 0usize, 0.0]))
                 .collect()
             },
         }
@@ -551,9 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_is_safe() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(f64::NAN), "null");
+    fn csv_quoting_is_safe() {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b\"c"), "\"a,b\"\"c\"");
     }

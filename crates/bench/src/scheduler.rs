@@ -1,12 +1,12 @@
 //! Guarded cell execution and the multi-experiment scheduler.
 //!
-//! This module owns the *execution* half of what used to be `runner.rs`: the
-//! fault model (retry / backoff / watchdog, unchanged from PR 8 — see DESIGN.md
-//! §13) plus the scheduling layer added for `xp serve`:
+//! This module owns the *execution* half of the harness: the fault model (retry /
+//! backoff / watchdog, see DESIGN.md §13) plus the scheduling layer `xp serve`
+//! and `xp sweep` share:
 //!
 //! - [`run_cells`] / [`run_cells_with_policy`]: guarded parallel cell execution,
-//!   exactly the PR 8 semantics (attempts under `catch_unwind`, deterministic
-//!   backoff rounds, classify-not-preempt watchdog).
+//!   (attempts under `catch_unwind`, deterministic backoff rounds,
+//!   classify-not-preempt watchdog).
 //! - [`run_keyed_cells`]: the cache-aware variant — each cell carries a
 //!   [`CellKey`] content address ([`crate::cache`]), and when the ambient job
 //!   context has a cache attached, hits skip computation entirely and terminal
@@ -19,8 +19,7 @@
 //!   supervising (job) thread — never on a pool worker — so the limiter cannot
 //!   deadlock the pool it meters.
 //!
-//! The declarative side (specs, results, rendering) stays in [`crate::runner`],
-//! which re-exports everything here under its old paths.
+//! The declarative side (specs, results, rendering) stays in [`crate::runner`].
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};

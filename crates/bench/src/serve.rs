@@ -44,9 +44,13 @@ use std::time::Duration;
 
 use crate::cache::CellCache;
 use crate::experiments;
-use crate::runner::{json_f64, json_string, ExperimentResult, Format, RunConfig};
+use crate::json::{json_f64, json_string};
+use crate::runner::{ExperimentResult, Format, RunConfig};
 use crate::scheduler::{Cancelled, CellEvent, JobCounters, JobSession, Scheduler};
 use crate::Scale;
+
+/// The request parser; it lives in [`crate::json`], shared with every writer.
+pub use crate::json::Json;
 
 /// Everything a session (or a socket full of sessions) shares.
 #[derive(Debug)]
@@ -239,17 +243,13 @@ fn handle_submit(
         let _ = out_tx.send(render_error(None, &format!("unknown experiment {name:?}")));
         return;
     };
-    let mut config = RunConfig::from_env();
+    let mut config = RunConfig::default();
     if let Some(scale) = request.get("scale") {
-        config.scale = match scale.as_str() {
-            Some("tiny") => Scale::Tiny,
-            Some("small") => Scale::Small,
-            Some("paper") | Some("full") => Scale::Paper,
-            _ => {
-                let _ = out_tx.send(render_error(None, "scale must be tiny|small|paper"));
-                return;
-            }
+        let Some(scale) = scale.as_str().and_then(Scale::parse) else {
+            let _ = out_tx.send(render_error(None, "scale must be tiny|small|paper"));
+            return;
         };
+        config.scale = scale;
     }
     if let Some(procs) = request.get("procs") {
         match procs.as_u64() {
@@ -314,7 +314,7 @@ fn handle_submit(
     let _ = out_tx.send(format!(
         "{{\"event\": \"accepted\", \"job\": {job}, \"experiment\": {}, \"scale\": {}}}",
         json_string(spec.id),
-        json_string(&format!("{:?}", config.scale).to_lowercase())
+        json_string(config.scale.name())
     ));
 
     let shared = Arc::clone(shared);
@@ -543,289 +543,4 @@ pub fn serve_unix_socket(
     }
     let _ = std::fs::remove_file(path);
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON value and recursive-descent parser: the protocol needs full
-// JSON on the *request* side (clients send arbitrary strings/numbers), and the
-// build has no registry access for a real parser crate.  ~120 lines, strict
-// (trailing garbage and malformed escapes are errors), no extensions.
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (always carried as `f64`; the protocol's integers are
-    /// well within the 2^53 exact range).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion order preserved; duplicate keys keep the last).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one JSON document (the whole string must be consumed).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut at = 0usize;
-        let value = parse_value(bytes, &mut at)?;
-        skip_ws(bytes, &mut at);
-        if at != bytes.len() {
-            return Err(format!("trailing bytes at offset {at}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (last duplicate wins).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact non-negative integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], at: &mut usize) {
-    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*at) {
-        *at += 1;
-    }
-}
-
-fn expect(bytes: &[u8], at: &mut usize, what: u8) -> Result<(), String> {
-    if bytes.get(*at) == Some(&what) {
-        *at += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at offset {at}", what as char, at = *at))
-    }
-}
-
-fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, at);
-    match bytes.get(*at) {
-        Some(b'{') => parse_object(bytes, at),
-        Some(b'[') => parse_array(bytes, at),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, at)?)),
-        Some(b't') => parse_literal(bytes, at, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, at, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, at, "null", Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, at),
-        _ => Err(format!("unexpected input at offset {at}", at = *at)),
-    }
-}
-
-fn parse_literal(bytes: &[u8], at: &mut usize, literal: &str, value: Json) -> Result<Json, String> {
-    if bytes[*at..].starts_with(literal.as_bytes()) {
-        *at += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at offset {at}", at = *at))
-    }
-}
-
-fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
-    let start = *at;
-    if bytes.get(*at) == Some(&b'-') {
-        *at += 1;
-    }
-    while let Some(c) = bytes.get(*at) {
-        if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-            *at += 1;
-        } else {
-            break;
-        }
-    }
-    std::str::from_utf8(&bytes[start..*at])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|n| n.is_finite())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at offset {start}"))
-}
-
-fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
-    expect(bytes, at, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*at).copied() {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *at += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *at += 1;
-                let escape = bytes.get(*at).copied().ok_or("unterminated escape")?;
-                *at += 1;
-                match escape {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let first = parse_hex4(bytes, at)?;
-                        let scalar = if (0xD800..0xDC00).contains(&first) {
-                            // Surrogate pair: the low half must follow as \uXXXX.
-                            if bytes.get(*at) == Some(&b'\\') && bytes.get(*at + 1) == Some(&b'u') {
-                                *at += 2;
-                                let second = parse_hex4(bytes, at)?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return Err("bad low surrogate".to_string());
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                return Err("lone high surrogate".to_string());
-                            }
-                        } else {
-                            first
-                        };
-                        out.push(char::from_u32(scalar).ok_or("bad unicode escape")?);
-                    }
-                    _ => return Err(format!("bad escape \\{}", escape as char)),
-                }
-            }
-            Some(byte) => {
-                if byte < 0x20 {
-                    return Err("raw control character in string".to_string());
-                }
-                // Multi-byte UTF-8 passes through verbatim (input was &str).
-                let start = *at;
-                *at += 1;
-                while *at < bytes.len() && bytes[*at] & 0xC0 == 0x80 {
-                    *at += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*at]).map_err(|_| "bad utf-8")?);
-            }
-        }
-    }
-}
-
-fn parse_hex4(bytes: &[u8], at: &mut usize) -> Result<u32, String> {
-    let hex = bytes.get(*at..*at + 4).ok_or("truncated \\u escape")?;
-    *at += 4;
-    u32::from_str_radix(std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?, 16)
-        .map_err(|_| "bad \\u escape".to_string())
-}
-
-fn parse_array(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
-    expect(bytes, at, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, at);
-    if bytes.get(*at) == Some(&b']') {
-        *at += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, at)?);
-        skip_ws(bytes, at);
-        match bytes.get(*at) {
-            Some(b',') => *at += 1,
-            Some(b']') => {
-                *at += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {at}", at = *at)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
-    expect(bytes, at, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, at);
-    if bytes.get(*at) == Some(&b'}') {
-        *at += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, at);
-        let key = parse_string(bytes, at)?;
-        skip_ws(bytes, at);
-        expect(bytes, at, b':')?;
-        let value = parse_value(bytes, at)?;
-        fields.push((key, value));
-        skip_ws(bytes, at);
-        match bytes.get(*at) {
-            Some(b',') => *at += 1,
-            Some(b'}') => {
-                *at += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {at}", at = *at)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_protocol_requests() {
-        let req = Json::parse(
-            r#"{"cmd":"submit","experiment":"fig02_05","job":3,"scale":"tiny","procs":8}"#,
-        )
-        .unwrap();
-        assert_eq!(req.get("cmd").and_then(Json::as_str), Some("submit"));
-        assert_eq!(req.get("job").and_then(Json::as_u64), Some(3));
-        assert_eq!(req.get("procs").and_then(Json::as_u64), Some(8));
-        assert!(req.get("seed").is_none());
-    }
-
-    #[test]
-    fn parses_nesting_escapes_and_numbers() {
-        let doc = Json::parse(r#"{"a":[1, -2.5, 1e3, "xA\n\"", {"b": null}], "t": true}"#).unwrap();
-        let Json::Arr(items) = doc.get("a").unwrap() else { panic!("array") };
-        assert_eq!(items[0], Json::Num(1.0));
-        assert_eq!(items[1], Json::Num(-2.5));
-        assert_eq!(items[2], Json::Num(1000.0));
-        assert_eq!(items[3], Json::Str("xA\n\"".to_string()));
-        assert_eq!(items[4].get("b"), Some(&Json::Null));
-        assert_eq!(doc.get("t"), Some(&Json::Bool(true)));
-    }
-
-    #[test]
-    fn surrogate_pairs_and_raw_utf8_round_trip() {
-        let doc = Json::parse(r#"{"s":"😀 é"}"#).unwrap();
-        assert_eq!(doc.get("s").and_then(Json::as_str), Some("😀 é"));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", r#"{"a" 1}"#, "tru", "1 2", r#""\ud800""#, "\u{1}", "nan"] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn duplicate_keys_keep_the_last_value() {
-        let doc = Json::parse(r#"{"a":1,"a":2}"#).unwrap();
-        assert_eq!(doc.get("a").and_then(Json::as_u64), Some(2));
-    }
 }

@@ -10,7 +10,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use repro_bench::row;
-use repro_bench::runner::{run_cells_with_policy, CellStatus, FaultPolicy};
+use repro_bench::scheduler::{run_cells_with_policy, CellStatus, FaultPolicy};
 
 fn quick(max_attempts: u32) -> FaultPolicy {
     FaultPolicy { max_attempts, backoff: Duration::ZERO, timeout: None }

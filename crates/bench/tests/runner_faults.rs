@@ -12,10 +12,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use repro_bench::row;
-use repro_bench::runner::{
-    run_cells, run_cells_with_policy, CellStatus, ExperimentSpec, FaultPolicy, Format, Row,
-    RunConfig,
-};
+use repro_bench::runner::{ExperimentSpec, Format, Row, RunConfig};
+use repro_bench::scheduler::{run_cells, run_cells_with_policy, CellStatus, FaultPolicy};
 
 /// A policy with no backoff sleeps, so the retry tests run in microseconds.
 fn quick(max_attempts: u32) -> FaultPolicy {
@@ -152,7 +150,7 @@ const HALF_FAILING: ExperimentSpec = ExperimentSpec {
 
 #[test]
 fn experiments_complete_with_partial_results_and_render_the_failures() {
-    let config = RunConfig::from_env();
+    let config = RunConfig::default();
     let result = HALF_FAILING.execute_with_policy(&config, quick(2));
     assert_eq!(result.rows.len(), 1, "partial results survive");
     assert_eq!(result.failed_cells(), 1);
@@ -190,7 +188,7 @@ fn clean_runs_render_byte_identically_to_the_pre_fault_harness() {
         notes: &[],
         run: clean_run,
     };
-    let result = CLEAN.execute_with_policy(&RunConfig::from_env(), quick(3));
+    let result = CLEAN.execute_with_policy(&RunConfig::default(), quick(3));
     assert!(result.cell_faults.is_empty());
     assert!(result.failure_error().is_none());
     for format in [Format::Text, Format::Json, Format::Csv] {

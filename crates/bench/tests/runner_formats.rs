@@ -1,212 +1,18 @@
 //! Integration coverage for `bench::runner`'s output formats: a tiny spec's result
 //! must round-trip through text, CSV and JSON, and the JSON rendering must actually
-//! *parse* as JSON (checked with a minimal recursive-descent parser, since the
-//! workspace has no serde) — not merely contain the expected substrings.
+//! *parse* as JSON (checked with the crate's [`Json`] parser) — not merely contain the
+//! expected substrings.  Python's `json.load` in CI and in the benchmark script is the
+//! independent check on the same artifacts.
 
+use repro_bench::json::Json;
 use repro_bench::runner::{ExperimentResult, ExperimentSpec, Format, RunConfig};
 use repro_bench::{row, Scale};
 
-/// A value of the minimal JSON model the parser below produces.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document, failing on trailing garbage or any syntax error.
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", byte as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::String(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected {word:?} at offset {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', got {:?}", other as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {:?}", other as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let byte =
-                *self.bytes.get(self.pos).ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape {:?}", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-read as UTF-8: step back and take the full character.
-                    self.pos -= 1;
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(Json::Number).map_err(|_| format!("bad number {text:?}"))
+/// The items of a JSON array (panics on any other value).
+fn items(value: Option<&Json>) -> &[Json] {
+    match value {
+        Some(Json::Arr(items)) => items,
+        other => panic!("expected an array, got {other:?}"),
     }
 }
 
@@ -261,33 +67,28 @@ fn csv_rendering_round_trips_fields() {
 fn json_rendering_parses_and_round_trips_rows() {
     let result = execute();
     let json_text = result.render(Format::Json);
-    let doc = parse_json(&json_text).expect("runner JSON must parse");
+    let doc = Json::parse(&json_text).expect("runner JSON must parse");
 
     assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("format_roundtrip_demo"));
     assert_eq!(doc.get("scale").and_then(Json::as_str), Some("tiny"));
-    assert_eq!(doc.get("procs_override"), Some(&Json::Number(4.0)));
-    assert_eq!(doc.get("seed_override"), Some(&Json::Number(9.0)));
+    assert_eq!(doc.get("procs_override"), Some(&Json::Num(4.0)));
+    assert_eq!(doc.get("seed_override"), Some(&Json::Num(9.0)));
 
-    let columns: Vec<&str> = doc
-        .get("columns")
-        .and_then(Json::as_array)
-        .unwrap()
-        .iter()
-        .map(|c| c.as_str().unwrap())
-        .collect();
+    let columns: Vec<&str> =
+        items(doc.get("columns")).iter().map(|c| c.as_str().unwrap()).collect();
     assert_eq!(columns, ["label", "count", "mean"]);
 
-    let rows = doc.get("rows").and_then(Json::as_array).unwrap();
+    let rows = items(doc.get("rows"));
     assert_eq!(rows.len(), 3);
     assert_eq!(rows[0].get("label").and_then(Json::as_str), Some("plain"));
-    assert_eq!(rows[0].get("count"), Some(&Json::Number(3.0)));
-    assert_eq!(rows[0].get("mean"), Some(&Json::Number(0.5)));
+    assert_eq!(rows[0].get("count"), Some(&Json::Num(3.0)));
+    assert_eq!(rows[0].get("mean"), Some(&Json::Num(0.5)));
     // Escaped content survives the round trip exactly.
     assert_eq!(rows[1].get("label").and_then(Json::as_str), Some("comma, quote\" and\nnewline"));
-    assert_eq!(rows[1].get("count"), Some(&Json::Number(-7.0)));
+    assert_eq!(rows[1].get("count"), Some(&Json::Num(-7.0)));
     assert_eq!(rows[2].get("label").and_then(Json::as_str), Some("unicode: naïve 🦀"));
 
-    let notes = doc.get("notes").and_then(Json::as_array).unwrap();
+    let notes = items(doc.get("notes"));
     assert_eq!(notes[0].as_str(), Some("note with \"quotes\" and a \\ backslash"));
 }
 
@@ -297,7 +98,7 @@ fn json_rendering_parses_and_round_trips_rows() {
 fn registered_spec_json_parses() {
     let spec = repro_bench::experiments::find("fig3").expect("fig3 exists");
     let result = spec.execute(&RunConfig { scale: Scale::Tiny, procs: None, seed: None });
-    let doc = parse_json(&result.render(Format::Json)).expect("fig03 JSON must parse");
+    let doc = Json::parse(&result.render(Format::Json)).expect("fig03 JSON must parse");
     assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("fig03"));
-    assert_eq!(doc.get("rows").and_then(Json::as_array).unwrap().len(), 32);
+    assert_eq!(items(doc.get("rows")).len(), 32);
 }

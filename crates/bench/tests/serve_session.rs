@@ -251,3 +251,22 @@ fn duplicate_job_ids_are_rejected() {
     assert_eq!(events(&all, "error").len(), 1, "{all:?}");
     assert_eq!(events(&all, "done").len(), 1);
 }
+
+#[test]
+fn deeply_nested_request_is_an_error_not_a_crash() {
+    // A 200k-deep line must not overflow the stack: that aborts the process and
+    // every other session it serves.
+    let script = "[".repeat(200_000)
+        + "\n{\"cmd\": \"submit\", \"experiment\": \"fig3\", \"scale\": \"tiny\", \"job\": 1}\n";
+    let all = run_session(&script, 2);
+
+    let errors = events(&all, "error");
+    assert_eq!(errors.len(), 1, "{all:?}");
+    let message = errors[0].get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("nesting"), "{message}");
+    // The same session then serves the valid submit to completion.
+    let done = events(&all, "done");
+    assert_eq!(done.len(), 1, "{all:?}");
+    assert_eq!(done[0].get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(events(&all, "bye").len(), 1);
+}

@@ -1,12 +1,13 @@
 //! `xp` — the unified experiment runner.
 //!
-//! One binary subsumes the twelve per-table/figure binaries of `repro-bench`:
+//! Every table, figure, ablation and bench of `repro-bench` runs through this one
+//! binary:
 //!
 //! ```text
 //! xp table <1|2|3|4>                  one table of the paper
 //! xp fig <1..9>                       one figure (paired figures share a spec)
 //! xp ablation <reorder-frequency|unit-sweep>
-//! xp bench <reorder-cost|sim-throughput|dsm-throughput|gen-throughput>
+//! xp bench <reorder-cost|sim-throughput|dsm-throughput|gen-throughput|trace-throughput>
 //!                                     performance benches
 //! xp run <id>                         any experiment by id or alias
 //! xp sweep                            every experiment (writes one artifact each)
@@ -40,7 +41,8 @@ USAGE:
     xp table <1|2|3|4>        [options]
     xp fig <1|2|...|9>        [options]
     xp ablation <name>        [options]   (reorder-frequency | unit-sweep)
-    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput | gen-throughput)
+    xp bench <name>           [options]   (reorder-cost | sim-throughput | dsm-throughput |
+                                           gen-throughput | trace-throughput)
     xp run <id-or-alias>      [options]
     xp sweep [id...]          [options]   run every (or the listed) experiment(s)
     xp serve                  [options]   NDJSON job server on stdin/stdout
@@ -55,7 +57,7 @@ OPTIONS:
     --format <text|json|csv>  output format (default: text)
     --out <path>              write output to a file (sweep: to a directory;
                               trace record: the corpus file)
-    --scale <tiny|small|paper> problem sizes (default: small, or REPRO_FULL=1)
+    --scale <tiny|small|paper> problem sizes (default: small)
     --procs <N>               override the virtual-processor count
     --seed <N>                override the workload seed
     --jobs <N>                bound concurrent cell attempts (default: pool width)
@@ -120,10 +122,17 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+fn exit_with(outcome: Result<(), String>) -> ExitCode {
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => fail(&message),
+    }
+}
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut format = Format::Text;
     let mut out = None;
-    let mut config = RunConfig::from_env();
+    let mut config = RunConfig::default();
     let mut jobs = None;
     let mut cache_dir = None;
     let mut single_flight = false;
@@ -140,12 +149,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--out" => out = Some(PathBuf::from(value_for("--out")?)),
             "--scale" => {
-                config.scale = match value_for("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "paper" | "full" => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
+                let v = value_for("--scale")?;
+                config.scale = Scale::parse(&v).ok_or(format!("unknown scale {v:?}"))?;
             }
             "--procs" => {
                 let v = value_for("--procs")?;
@@ -643,23 +648,11 @@ fn main() -> ExitCode {
         print_list();
         return ExitCode::SUCCESS;
     }
-    if command == "trace" {
-        return match run_trace(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => fail(&message),
-        };
-    }
-    if command == "serve" {
-        return match run_serve(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => fail(&message),
-        };
-    }
-    if command == "cache" {
-        return match run_cache(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => fail(&message),
-        };
+    match command {
+        "trace" => return exit_with(run_trace(&args[1..])),
+        "serve" => return exit_with(run_serve(&args[1..])),
+        "cache" => return exit_with(run_cache(&args[1..])),
+        _ => {}
     }
 
     // Subcommands that name an experiment, then take shared options.
@@ -723,12 +716,8 @@ fn main() -> ExitCode {
     };
     // --jobs bounds the executor pool for this command (and, for sweep, the
     // scheduler's slot count built inside the override).
-    let outcome = match options.jobs {
+    exit_with(match options.jobs {
         Some(n) => rayon::with_num_threads(n, go),
         None => go(),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => fail(&message),
-    }
+    })
 }
