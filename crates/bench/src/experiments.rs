@@ -8,7 +8,10 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use dsm::{DsmConfig, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory, TreadMarksSim};
+use dsm::{
+    DsmConfig, DsmRunResult, HlrcSim, NetworkCostModel, PageHistorySink, PageWriteHistory,
+    TreadMarksSim,
+};
 use memsim::{
     page_sharing, page_update_map, CostModel, OriginPreset, ReferenceSim, SimSink, SimulationResult,
 };
@@ -23,7 +26,7 @@ use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
 use crate::runner::{ExperimentSpec, Row, RunConfig, Value};
 use crate::scheduler::{par_map, run_keyed_cells};
-use crate::{build_run, build_run_sized, AppKind, Ordering, Scale};
+use crate::{build_run_sized, stream_run, AppKind, Ordering, Scale};
 
 /// All experiments, in the order of the paper's evaluation section.
 pub static EXPERIMENTS: &[ExperimentSpec] = &[
@@ -335,6 +338,42 @@ fn orderings_for(app: AppKind, dsm_order: bool) -> Vec<Ordering> {
     }
 }
 
+/// One Origin 2000 cell: stream `app` at `scale` under `ordering` into a `SimSink`
+/// over `procs` processors.  Returns the simulation result and the reorder seconds.
+fn origin_cell(
+    app: AppKind,
+    ordering: Ordering,
+    scale: Scale,
+    procs: usize,
+    seed: u64,
+) -> (SimulationResult, f64) {
+    let (sink, reorder_seconds) =
+        stream_run(app, ordering, scale.size_of(app), scale.iterations_of(app), seed, |layout| {
+            SimSink::new(OriginPreset::origin2000(procs).build_machine(), layout.clone())
+        });
+    (sink.finish(), reorder_seconds)
+}
+
+/// One software-DSM cell: stream `app` at `scale` under `ordering` into one
+/// `PageHistorySink`, then evaluate TreadMarks and HLRC on that single history.
+/// Returns both protocols' results and the reorder seconds.
+fn dsm_cell(
+    app: AppKind,
+    ordering: Ordering,
+    scale: Scale,
+    config: DsmConfig,
+    seed: u64,
+) -> (DsmRunResult, DsmRunResult, f64) {
+    let (sink, reorder_seconds) =
+        stream_run(app, ordering, scale.size_of(app), scale.iterations_of(app), seed, |layout| {
+            PageHistorySink::new(layout.clone(), config.num_procs, config.page_bytes)
+        });
+    let history = sink.finish();
+    let tmk = TreadMarksSim::new(config).run_history(&history);
+    let hlrc = HlrcSim::new(config).run_history(&history);
+    (tmk, hlrc, reorder_seconds)
+}
+
 fn run_table1(cfg: &RunConfig) -> Vec<Row> {
     let scale = cfg.scale;
     let paper = [
@@ -385,10 +424,8 @@ fn run_table2(cfg: &RunConfig) -> Vec<Row> {
         let mut reorder_cost = 0.0f64;
         let mut per_procs = Vec::new();
         for procs in [1usize, par_procs] {
-            let run = build_run(app, ordering, scale, procs, seed);
-            reorder_cost = run.reorder_seconds.max(reorder_cost);
-            let mut machine = OriginPreset::origin2000(procs).build_machine();
-            let result = machine.run_trace_with_layout(&run.trace, &run.layout);
+            let (result, reorder_seconds) = origin_cell(app, ordering, scale, procs, seed);
+            reorder_cost = reorder_seconds.max(reorder_cost);
             per_procs.push((cost.machine_time(&result), result.l2_misses(), result.tlb_misses()));
         }
         let (seq_t, seq_l2, seq_tlb) = per_procs[0];
@@ -428,16 +465,14 @@ fn run_table3(cfg: &RunConfig) -> Vec<Row> {
         })
         .collect();
     run_keyed_cells(cells, |(app, ordering)| {
-        let run = build_run(app, ordering, scale, procs, seed);
-        let tmk = TreadMarksSim::new(config).run_with_layout(&run.trace, &run.layout);
-        let hlrc = HlrcSim::new(config).run_with_layout(&run.trace, &run.layout);
+        let (tmk, hlrc, reorder_seconds) = dsm_cell(app, ordering, scale, config, seed);
         let tmk_est = cost.estimate(&tmk);
         let hlrc_est = cost.estimate(&hlrc);
         vec![row![
             app.name(),
             ordering.name(),
             tmk_est.sequential_seconds,
-            run.reorder_seconds,
+            reorder_seconds,
             tmk_est.parallel_seconds,
             tmk.stats.data_mbytes(),
             tmk.stats.messages,
@@ -697,17 +732,10 @@ fn run_fig07(cfg: &RunConfig) -> Vec<Row> {
         .collect();
     run_keyed_cells(cells, |app| {
         // Sequential baseline: the original version on one processor.
-        let seq_run = build_run(app, Ordering::Original, scale, 1, seed);
-        let seq_time = {
-            let mut machine = OriginPreset::origin2000(1).build_machine();
-            let r = machine.run_trace_with_layout(&seq_run.trace, &seq_run.layout);
-            cost.machine_time(&r)
-        };
+        let seq_time = cost.machine_time(&origin_cell(app, Ordering::Original, scale, 1, seed).0);
         let speedup_of = |ordering: Ordering| -> f64 {
-            let run = build_run(app, ordering, scale, procs, seed);
-            let mut machine = OriginPreset::origin2000(procs).build_machine();
-            let r = machine.run_trace_with_layout(&run.trace, &run.layout);
-            seq_time / (cost.machine_time(&r) + run.reorder_seconds)
+            let (r, reorder_seconds) = origin_cell(app, ordering, scale, procs, seed);
+            seq_time / (cost.machine_time(&r) + reorder_seconds)
         };
         let original = speedup_of(Ordering::Original);
         let hilbert = speedup_of(Ordering::Reordered(Method::Hilbert));
@@ -740,14 +768,12 @@ fn run_fig08_09(cfg: &RunConfig) -> Vec<Row> {
         .collect();
     run_keyed_cells(cells, |app| {
         let speedups = |ordering: Ordering| -> (f64, f64) {
-            let run = build_run(app, ordering, scale, procs, seed);
-            let tmk = TreadMarksSim::new(config).run_with_layout(&run.trace, &run.layout);
-            let hlrc = HlrcSim::new(config).run_with_layout(&run.trace, &run.layout);
+            let (tmk, hlrc, reorder_seconds) = dsm_cell(app, ordering, scale, config, seed);
             let tmk_est = cost.estimate(&tmk);
             let hlrc_est = cost.estimate(&hlrc);
             (
-                tmk_est.sequential_seconds / (tmk_est.parallel_seconds + run.reorder_seconds),
-                hlrc_est.sequential_seconds / (hlrc_est.parallel_seconds + run.reorder_seconds),
+                tmk_est.sequential_seconds / (tmk_est.parallel_seconds + reorder_seconds),
+                hlrc_est.sequential_seconds / (hlrc_est.parallel_seconds + reorder_seconds),
             )
         };
         let (tmk_orig, hlrc_orig) = speedups(Ordering::Original);
@@ -1114,11 +1140,12 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
     // gets the whole machine (like the sim-throughput bench).
     let mut rows = Vec::new();
     for (app, workload) in DSM_THROUGHPUT_APPS {
-        let run = build_run(app, crate::Ordering::Original, scale, procs, seed);
+        let (n, iters) = (scale.size_of(app), scale.iterations_of(app));
+        let run = build_run_sized(app, Ordering::Original, n, iters, procs, seed);
         let accesses = run.trace.total_accesses() as u64;
 
-        // Path 1 — the preserved map-based serial pipeline; like the historical
-        // `run_with_layout`, each protocol re-reduces the trace from scratch.
+        // Path 1 — the preserved map-based serial pipeline; each protocol re-reduces
+        // the trace from scratch.
         let (ref_ms, ref_results) = best_of(
             repetitions,
             || (),
@@ -1138,7 +1165,7 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
         );
 
         // Path 3 — the trace streams through a PageHistorySink (the no-materialized-
-        // trace path applications use) into the same simulators.
+        // trace path Table 3 and Figures 8/9 use) into the same simulators.
         let (stream_ms, stream_results) = best_of(
             repetitions,
             || (),
@@ -1412,7 +1439,7 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
     let traces = par_map(vec![Method::Hilbert, Method::Column], |method| {
         let mut sim = Moldyn::lattice(n, seed, MoldynParams::default());
         sim.reorder(method);
-        (sim.trace_steps(2, procs), sim.layout())
+        sim.trace_steps(2, procs)
     });
     // Stage 2: sweep unit sizes in parallel over the shared traces.
     let traces = &traces;
@@ -1431,9 +1458,8 @@ fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
     run_keyed_cells(keyed, move |unit| {
         let mut message_counts = Vec::new();
         let mut cells: Vec<Value> = vec![unit.into()];
-        for (trace, layout) in traces {
-            let sim = TreadMarksSim::new(DsmConfig::new(unit, procs));
-            let r = sim.run_with_layout(trace, layout);
+        for trace in traces {
+            let r = TreadMarksSim::new(DsmConfig::new(unit, procs)).run(trace);
             message_counts.push(r.stats.messages);
             cells.push(r.stats.messages.into());
             cells.push(r.stats.data_mbytes().into());

@@ -8,9 +8,11 @@
 //!
 //! * [`AppKind`] / [`Ordering`] — the five benchmark applications and the data
 //!   orderings compared (original random order, Hilbert, Morton, column, row);
-//! * [`build_run`] — build an application at a given scale, apply an ordering, record
-//!   an access trace over a given number of virtual processors, and report the cost of
-//!   the reordering call itself (the "Cost of Reorder" columns of Tables 2 and 3);
+//! * [`stream_run`] — the one cell pipeline: build an application, apply an ordering,
+//!   stream its traced execution straight into a sink (a `memsim::SimSink`, a
+//!   `dsm::PageHistorySink`, or — via [`build_run_sized`] — a materializing
+//!   `TraceBuilder`), and report the cost of the reordering call itself (the "Cost of
+//!   Reorder" columns of Tables 2 and 3);
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
 //!   `Small` (the default) uses reduced sizes so every experiment finishes in
 //!   seconds, and `Tiny` is for smoke tests.  `xp --scale` selects one.
@@ -201,30 +203,21 @@ pub struct AppRun {
     pub reorder_seconds: f64,
 }
 
-/// Build an application at the given scale, apply `ordering`, and record a trace over
-/// `num_procs` virtual processors.
-pub fn build_run(
-    app: AppKind,
-    ordering: Ordering,
-    scale: Scale,
-    num_procs: usize,
-    seed: u64,
-) -> AppRun {
-    let n = scale.size_of(app);
-    let iters = scale.iterations_of(app);
-    build_run_sized(app, ordering, n, iters, num_procs, seed)
-}
-
-/// Like [`build_run`] but with explicit object count and iteration count (used by the
-/// figure specs that need specific sizes, e.g. 168 or 32 768 bodies).
-pub fn build_run_sized(
+/// The one cell pipeline: build an application with `n` objects, apply `ordering`,
+/// and stream `iters` iterations of its sharded execution straight into the sink
+/// `make_sink` builds from the (post-reorder) layout.
+///
+/// Returns the fed sink and the wall-clock seconds of the reordering call (0 for the
+/// original order).  No trace is materialized unless the sink itself does so, which
+/// is exactly what [`build_run_sized`] asks for.
+pub fn stream_run<S: TraceSink>(
     app: AppKind,
     ordering: Ordering,
     n: usize,
     iters: usize,
-    num_procs: usize,
     seed: u64,
-) -> AppRun {
+    make_sink: impl FnOnce(&ObjectLayout) -> S,
+) -> (S, f64) {
     let mut live = LiveApp::build(app, n, seed);
     let reorder_seconds = match ordering {
         Ordering::Original => 0.0,
@@ -234,17 +227,33 @@ pub fn build_run_sized(
             t0.elapsed().as_secs_f64()
         }
     };
-    let layout = live.layout();
-    let num_objects = live.num_objects();
-    let mut builder = TraceBuilder::new(layout.clone(), num_procs);
-    live.stream_sharded(iters, &mut builder);
+    let mut sink = make_sink(&live.layout());
+    live.stream_sharded(iters, &mut sink);
+    (sink, reorder_seconds)
+}
+
+/// [`stream_run`] into a [`TraceBuilder`]: the materialized trace over `num_procs`
+/// virtual processors, for the analyses that re-read a whole trace (the page maps of
+/// Figures 1–2 and 4–5, and the throughput benches' replay paths).
+pub fn build_run_sized(
+    app: AppKind,
+    ordering: Ordering,
+    n: usize,
+    iters: usize,
+    num_procs: usize,
+    seed: u64,
+) -> AppRun {
+    let (builder, reorder_seconds) = stream_run(app, ordering, n, iters, seed, |layout| {
+        TraceBuilder::new(layout.clone(), num_procs)
+    });
     let trace = builder.finish();
-    AppRun { app, ordering, num_objects, layout, trace, reorder_seconds }
+    let layout = trace.layout.clone();
+    AppRun { app, ordering, num_objects: layout.num_objects, layout, trace, reorder_seconds }
 }
 
 /// A live application instance with the standard workload generator and default
 /// parameters for its [`AppKind`] — the single source of truth for "build app X at
-/// size n".  [`build_run_sized`] traces through it, and the gen-throughput bench
+/// size n".  [`stream_run`] traces through it, and the gen-throughput bench
 /// re-runs its producer paths directly (it needs the live application, not a
 /// materialized trace).
 #[derive(Clone)]

@@ -26,7 +26,7 @@
 //! the per-processor statistics are aggregated deterministically afterwards.
 
 use rayon::prelude::*;
-use smtrace::{ObjectLayout, ProgramTrace};
+use smtrace::ProgramTrace;
 
 use crate::history::PageWriteHistory;
 use crate::protocol::{single_proc_result, DsmConfig, DsmRunResult, DsmStats, ProcStats, Protocol};
@@ -54,15 +54,12 @@ impl HlrcSim {
         page % self.config.num_procs
     }
 
-    /// Simulate the protocol over a trace, using the trace's own object layout.
+    /// Simulate the protocol over a materialized trace, using the trace's own object
+    /// layout: reduce it to a [`PageWriteHistory`] and call [`Self::run_history`].
+    /// Callers that evaluate both protocols should reduce once (or stream through a
+    /// [`crate::PageHistorySink`]) and hand the same history to each.
     pub fn run(&self, trace: &ProgramTrace) -> DsmRunResult {
-        self.run_with_layout(trace, &trace.layout)
-    }
-
-    /// Simulate the protocol over a trace with an explicit object layout.
-    pub fn run_with_layout(&self, trace: &ProgramTrace, layout: &ObjectLayout) -> DsmRunResult {
-        let history = PageWriteHistory::build(trace, layout, self.config.page_bytes);
-        self.run_history(&history)
+        self.run_history(&PageWriteHistory::build(trace, &trace.layout, self.config.page_bytes))
     }
 
     /// Simulate one processor's whole run against the shared timeline.
@@ -162,7 +159,7 @@ impl HlrcSim {
 mod tests {
     use super::*;
     use crate::treadmarks::TreadMarksSim;
-    use smtrace::TraceBuilder;
+    use smtrace::{ObjectLayout, TraceBuilder};
 
     /// Heavily falsely-shared page, one reader: HLRC fetches one full page (2 messages,
     /// 4096 bytes); TreadMarks fetches one diff per writer (more messages, fewer bytes).

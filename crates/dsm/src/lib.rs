@@ -31,13 +31,17 @@
 //! reduces an application's `stream_*` execution to flat per-interval
 //! [`PageWriteHistory`] page sets (at one or several page granularities in a single
 //! pass) without materializing the trace, and both simulators evaluate the
-//! per-processor intervals in parallel.  The original map-based serial pipeline is
+//! per-processor intervals in parallel.  The simulators' front door is `run_history`:
+//! one history is reduced per run and handed to both protocols (`xp table 3` and
+//! `xp fig 8` stream each cell into one sink this way); `run(&trace)` is the
+//! convenience for a materialized trace (reduce under the trace's own layout, then
+//! `run_history`).  The original map-based serial pipeline is
 //! preserved in [`reference`] as the executable specification; the equivalence
 //! proptests and `xp bench dsm-throughput` pin all paths to bit-identical
 //! [`DsmStats`].
 //!
 //! ```
-//! use dsm::{DsmConfig, HlrcSim, TreadMarksSim};
+//! use dsm::{DsmConfig, HlrcSim, PageWriteHistory, TreadMarksSim};
 //! use smtrace::{ObjectLayout, TraceBuilder};
 //!
 //! // Processor 0 writes an object, the barrier propagates it, processor 1 reads it:
@@ -50,9 +54,12 @@
 //! builder.barrier();
 //! let trace = builder.finish();
 //!
+//! // Reduce the trace to its page history once and evaluate both protocols on it.
 //! let config = DsmConfig::new(1024, 2);
-//! let tmk = TreadMarksSim::new(config).run(&trace);
-//! let hlrc = HlrcSim::new(config).run(&trace);
+//! let history = PageWriteHistory::build(&trace, &trace.layout, config.page_bytes);
+//! let tmk = TreadMarksSim::new(config).run_history(&history);
+//! let hlrc = HlrcSim::new(config).run_history(&history);
+//! assert_eq!(tmk, TreadMarksSim::new(config).run(&trace));
 //! assert!(tmk.stats.data_bytes > 0);
 //! assert!(hlrc.stats.data_bytes > 0);
 //! assert!(tmk.stats.messages >= hlrc.stats.messages);

@@ -10,8 +10,8 @@
 //! * the trace reduction allocates a nested `BTreeMap<page, BTreeSet<object>>` per
 //!   (interval, processor) and a `BTreeMap` per page-set, where the streaming sink
 //!   sorts reused flat scratch buffers;
-//! * each protocol run re-reduces the materialized trace from scratch (the historical
-//!   `run_with_layout` cost), where the new pipeline reduces once and feeds both
+//! * each protocol run re-reduces the materialized trace from scratch, where the
+//!   streaming pipeline reduces once per cell and feeds that one history to both
 //!   simulators;
 //! * the protocol loops are serial and rebuild `BTreeSet` touched-page sets and
 //!   `BTreeMap` per-writer tallies per fault, where the optimized simulators walk the
@@ -121,7 +121,7 @@ impl RefPageHistory {
 }
 
 /// Run the TreadMarks-like protocol over a trace with the original serial scan-based
-/// evaluation (each call re-reduces the trace, as `run_with_layout` historically did).
+/// evaluation (each call re-reduces the trace from scratch).
 pub fn run_treadmarks(
     config: DsmConfig,
     trace: &ProgramTrace,

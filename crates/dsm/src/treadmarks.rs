@@ -30,7 +30,7 @@
 //! [`crate::reference`] spec.
 
 use rayon::prelude::*;
-use smtrace::{ObjectLayout, ProgramTrace};
+use smtrace::ProgramTrace;
 
 use crate::history::PageWriteHistory;
 use crate::protocol::{single_proc_result, DsmConfig, DsmRunResult, DsmStats, ProcStats, Protocol};
@@ -98,16 +98,12 @@ impl TreadMarksSim {
         self.config
     }
 
-    /// Simulate the protocol over a trace, using the trace's own object layout.
+    /// Simulate the protocol over a materialized trace, using the trace's own object
+    /// layout: reduce it to a [`PageWriteHistory`] and call [`Self::run_history`].
+    /// Callers that evaluate both protocols should reduce once (or stream through a
+    /// [`crate::PageHistorySink`]) and hand the same history to each.
     pub fn run(&self, trace: &ProgramTrace) -> DsmRunResult {
-        self.run_with_layout(trace, &trace.layout)
-    }
-
-    /// Simulate the protocol over a trace with an explicit object layout (used to
-    /// evaluate a different object placement for the same logical computation).
-    pub fn run_with_layout(&self, trace: &ProgramTrace, layout: &ObjectLayout) -> DsmRunResult {
-        let history = PageWriteHistory::build(trace, layout, self.config.page_bytes);
-        self.run_history(&history)
+        self.run_history(&PageWriteHistory::build(trace, &trace.layout, self.config.page_bytes))
     }
 
     /// Simulate one processor's whole run against the shared timeline.
@@ -217,7 +213,7 @@ impl TreadMarksSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtrace::TraceBuilder;
+    use smtrace::{ObjectLayout, TraceBuilder};
 
     /// Two processors, two intervals: p0 writes object 0 (page 0) in interval 0, p1
     /// reads it in interval 1 — one diff fetch.

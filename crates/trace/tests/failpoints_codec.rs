@@ -7,6 +7,7 @@
 #![cfg(feature = "failpoints")]
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use smtrace::codec::{CodecError, CorpusReader, CorpusWriter};
 use smtrace::{NullSink, ObjectLayout, TraceSink};
@@ -19,6 +20,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("smtrace-failpoints-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The two `trace/drain` tests configure the same global point, so they must not
+/// run concurrently with each other (the harness runs tests in parallel).
+fn serialize_drain() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn drive(sink: &mut dyn TraceSink, intervals: usize) {
@@ -83,6 +91,7 @@ fn injected_commit_failure_leaves_no_final_file_and_a_salvageable_temp() {
 #[test]
 fn drain_failpoint_delay_does_not_corrupt_the_stream() {
     use smtrace::{ShardSet, TraceBuilder};
+    let _serial = serialize_drain();
     let _guard = failpoint::configure_guard("trace/drain", "1*delay(10)").unwrap();
     let mut shards = ShardSet::new(2);
     shards.shard_mut(0).read(1);
@@ -96,6 +105,7 @@ fn drain_failpoint_delay_does_not_corrupt_the_stream() {
 #[test]
 fn drain_failpoint_panic_unwinds_cleanly_through_the_sink() {
     use smtrace::{ShardSet, TraceBuilder};
+    let _serial = serialize_drain();
     let _guard = failpoint::configure_guard("trace/drain", "1*panic(drain died)").unwrap();
     let mut shards = ShardSet::new(1);
     shards.shard_mut(0).read(5);
