@@ -13,20 +13,21 @@ use dsm::{
     TreadMarksSim,
 };
 use memsim::{
-    page_sharing, page_update_map, CostModel, OriginPreset, ReferenceSim, SimSink, SimulationResult,
+    page_update_map, CostModel, OriginPreset, PageSharingReport, ReferenceSim, SimSink,
+    SimulationResult,
 };
 use molecular::{Moldyn, MoldynParams};
-use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
+use nbody::{BarnesHut, BarnesHutParams};
 use reorder::permute::Permutation;
 use reorder::{compute_reordering_from_points, pack_keys, sort_keys, KeyWidth, Method, Quantizer};
-use smtrace::ObjectLayout;
+use smtrace::{ObjectLayout, UnitSetsSink};
 use workloads::{cubic_lattice, two_plummer, UnstructuredMesh};
 
 use crate::cache::{CellKey, KeyBuilder};
 use crate::row;
 use crate::runner::{ExperimentSpec, Row, RunConfig, Value};
-use crate::scheduler::{par_map, run_keyed_cells};
-use crate::{build_run_sized, stream_run, AppKind, Ordering, Scale};
+use crate::scheduler::run_keyed_cells;
+use crate::{stream_run, AppKind, Ordering, Scale};
 
 /// All experiments, in the order of the paper's evaluation section.
 pub static EXPERIMENTS: &[ExperimentSpec] = &[
@@ -487,53 +488,72 @@ fn run_table3(cfg: &RunConfig) -> Vec<Row> {
 const FMM_INTERVAL_PHASES: [&str; 4] =
     ["Build tree", "Tree traversal (P2M)", "Inter/Intra particle", "Other (update)"];
 
-fn fmm_phase_costs(n: usize, reorder: bool, procs: usize, seed: u64) -> Vec<(String, f64)> {
-    let mut sim = Fmm::two_plummer(n, seed, FmmParams::default());
-    if reorder {
-        sim.reorder(Method::Hilbert);
-    }
-    let trace = sim.trace_iterations(1, procs);
-    let config = DsmConfig::cluster(procs);
-    let cost = NetworkCostModel::default();
-    let tmk = TreadMarksSim::new(config);
-    let mut out = Vec::new();
-    // Simulate each interval prefix separately so its communication cost is attributed
-    // to its phase.  (The protocol state is rebuilt per interval; this slightly
-    // over-counts cold fetches per phase but identically for both versions.)
-    for (idx, phase) in FMM_INTERVAL_PHASES.iter().enumerate() {
-        if idx >= trace.intervals.len() {
-            break;
-        }
-        let mut sub = trace.clone();
-        sub.intervals = trace.intervals[..=idx].to_vec();
-        let history = PageWriteHistory::build(&sub, &trace.layout, config.page_bytes);
-        let result = tmk.run_history(&history);
-        let est = cost.estimate(&result);
-        out.push((phase.to_string(), est.parallel_seconds));
-    }
-    // Convert cumulative estimates into per-phase increments.
-    for i in (1..out.len()).rev() {
-        out[i].1 -= out[i - 1].1;
-        out[i].1 = out[i].1.max(0.0);
-    }
-    out
-}
-
 fn run_table4(cfg: &RunConfig) -> Vec<Row> {
     let n = if cfg.scale == Scale::Paper { 16_384 } else { 4_096 };
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(77);
-    let both = par_map(vec![false, true], |reorder| fmm_phase_costs(n, reorder, procs, seed));
-    let (original, reordered) = (&both[0], &both[1]);
-    let mut rows: Vec<Row> = original
+    let config = DsmConfig::cluster(procs);
+    let cost = NetworkCostModel::default();
+    let cells: Vec<(CellKey, Ordering)> =
+        [Ordering::Original, Ordering::Reordered(Method::Hilbert)]
+            .into_iter()
+            .map(|ordering| {
+                let key = KeyBuilder::new("table4")
+                    .field_usize("bodies", n)
+                    .field_usize("procs", procs)
+                    .field_u64("seed", seed)
+                    .field_str("ordering", &ordering.name())
+                    .finish();
+                (key, ordering)
+            })
+            .collect();
+    let phase_rows = run_keyed_cells(cells, |ordering| {
+        let (sink, _) = stream_run(AppKind::Fmm, ordering, n, 1, seed, |layout| {
+            PageHistorySink::new(layout.clone(), procs, config.page_bytes)
+        });
+        let history = sink.finish();
+        let tmk = TreadMarksSim::new(config);
+        // Evaluate each interval prefix separately and charge each phase the increment
+        // its interval adds.  (The protocol state is rebuilt per prefix; this slightly
+        // over-counts cold fetches per phase but identically for both versions.)
+        let mut previous = 0.0;
+        (1..=FMM_INTERVAL_PHASES.len().min(history.intervals.len()))
+            .map(|len| {
+                let t = cost.estimate(&tmk.run_history(&history.prefix(len))).parallel_seconds;
+                let seconds = if len == 1 { t } else { (t - previous).max(0.0) };
+                previous = t;
+                row![ordering.name(), seconds]
+            })
+            .collect()
+    });
+    let seconds = |ordering: &'static str| -> Vec<f64> {
+        labelled(&phase_rows, ordering).map(|r| as_f64(&r.cells[1])).collect()
+    };
+    let (original, reordered) = (seconds("original"), seconds("hilbert"));
+    if original.is_empty() || reordered.is_empty() {
+        return Vec::new(); // a terminally failed cell: its fault is reported instead
+    }
+    let total = row!["Total", original.iter().sum::<f64>(), reordered.iter().sum::<f64>()];
+    FMM_INTERVAL_PHASES
         .iter()
-        .zip(reordered)
-        .map(|((phase, orig), (_, reord))| row![phase.clone(), *orig, *reord])
-        .collect();
-    let total_orig: f64 = original.iter().map(|(_, t)| t).sum();
-    let total_reord: f64 = reordered.iter().map(|(_, t)| t).sum();
-    rows.push(row!["Total", total_orig, total_reord]);
-    rows
+        .zip(original.iter().zip(&reordered))
+        .map(|(&phase, (&orig, &reord))| row![phase, orig, reord])
+        .chain([total])
+        .collect()
+}
+
+/// The rows of a per-column spec's cells whose first cell is `label`.
+fn labelled<'a>(rows: &'a [Row], label: &'static str) -> impl Iterator<Item = &'a Row> {
+    rows.iter().filter(move |r| matches!(&r.cells[0], Value::Str(s) if s == label))
+}
+
+/// A numeric cell as `f64` (strings read as 0).
+fn as_f64(value: &Value) -> f64 {
+    match value {
+        Value::Int(v) => *v as f64,
+        Value::Float(v) => *v,
+        Value::Str(_) => 0.0,
+    }
 }
 
 fn run_fig01_04(cfg: &RunConfig) -> Vec<Row> {
@@ -558,10 +578,12 @@ fn run_fig01_04(cfg: &RunConfig) -> Vec<Row> {
     })
     .collect();
     run_keyed_cells(cells, |(label, ordering)| {
-        let run = build_run_sized(AppKind::BarnesHut, ordering, PARTICLES, 1, procs, seed);
-        let map = page_update_map(&run.trace, &run.layout, PAGE_BYTES);
-        let num_pages = run.layout.num_units(PAGE_BYTES);
-        map.iter()
+        let (sink, _) = stream_run(AppKind::BarnesHut, ordering, PARTICLES, 1, seed, |layout| {
+            UnitSetsSink::new(layout.clone(), procs, PAGE_BYTES)
+        });
+        let num_pages = sink.num_units();
+        page_update_map(sink)
+            .iter()
             .enumerate()
             .map(|(p, pages)| {
                 let marks: String =
@@ -579,10 +601,8 @@ fn run_fig02_05(cfg: &RunConfig) -> Vec<Row> {
     let seed = cfg.seed_or(7);
     // --procs narrows the sweep to one processor count; default is the paper's 2-16.
     let proc_counts = cfg.procs.map(|p| vec![p]).unwrap_or_else(|| vec![2, 4, 8, 16]);
-    let dump = std::env::var("REPRO_DUMP_PAGES").map(|v| v == "1").unwrap_or(false);
     // Keyed on (bodies, procs, seed, ordering): a narrowed `--procs 8` run shares
     // cache entries with the default 2-16 ladder, and tiny/small share `bodies`.
-    // REPRO_DUMP_PAGES is stderr-only diagnostics, so it stays out of the key.
     let cells: Vec<(CellKey, (usize, &str, Ordering))> = proc_counts
         .into_iter()
         .flat_map(|procs| {
@@ -604,13 +624,10 @@ fn run_fig02_05(cfg: &RunConfig) -> Vec<Row> {
         })
         .collect();
     run_keyed_cells(cells, |(procs, label, ordering)| {
-        let run = build_run_sized(AppKind::BarnesHut, ordering, bodies, 1, procs, seed);
-        let report = page_sharing(&run.trace, &run.layout, page_bytes);
-        if dump {
-            // Per-page series for plotting the paper's histograms (stderr keeps the
-            // table / JSON / CSV artifact on stdout clean).
-            eprintln!("# pages P={procs} {label}: {:?}", report.sharers);
-        }
+        let (sink, _) = stream_run(AppKind::BarnesHut, ordering, bodies, 1, seed, |layout| {
+            UnitSetsSink::new(layout.clone(), procs, page_bytes)
+        });
+        let report = PageSharingReport::from_sink(sink);
         let max = report.sharers.iter().copied().max().unwrap_or(0);
         vec![row![
             procs,
@@ -815,8 +832,9 @@ fn run_ablation_reorder_frequency(cfg: &RunConfig) -> Vec<Row> {
                 sim.step_parallel(rayon::current_num_threads());
             }
             // Measure the sharing of one final traced iteration.
-            let trace = sim.trace_iterations(1, procs);
-            let sharing = page_sharing(&trace, &sim.layout(), 8 * 1024);
+            let mut sink = UnitSetsSink::new(sim.layout(), procs, 8 * 1024);
+            sim.stream_iterations(1, &mut sink);
+            let sharing = PageSharingReport::from_sink(sink);
             let label = if period == 0 { "never".to_string() } else { format!("every {period}") };
             vec![row![label, sharing.mean_writers(), sharing.mean_sharers(), reorder_cost]]
         })
@@ -968,31 +986,35 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         } else {
             scale.size_of(app)
         };
-        let iters = scale.iterations_of(app);
-        let run = build_run_sized(app, crate::Ordering::Original, n, iters, procs, seed);
-        let accesses = run.trace.total_accesses() as u64;
+        // Timing replay of a materialized trace is this bench's job.
+        let (builder, _) =
+            stream_run(app, Ordering::Original, n, scale.iterations_of(app), seed, |l| {
+                smtrace::TraceBuilder::new(l.clone(), procs)
+            });
+        let trace = builder.finish();
+        let accesses = trace.total_accesses() as u64;
         let preset = OriginPreset::origin2000(procs);
 
         // Path 1 — the preserved scan-based baseline over the materialized trace.
         let (ref_ms, ref_result) = best_of(
             repetitions,
             || ReferenceSim::new(procs, preset.l2, preset.tlb),
-            |mut reference| reference.run_trace_with_layout(&run.trace, &run.layout),
+            |mut reference| reference.run_trace_with_layout(&trace, &trace.layout),
         );
 
         // Path 2 — the directory machine over the same materialized trace.
         let (mat_ms, mat_result) = best_of(
             repetitions,
             || preset.build_machine(),
-            |mut machine| machine.run_trace_with_layout(&run.trace, &run.layout),
+            |mut machine| machine.run_trace_with_layout(&trace, &trace.layout),
         );
 
         // Path 3 — the directory machine fed through the streaming sink.
         let (stream_ms, stream_result) = best_of(
             repetitions,
-            || SimSink::new(preset.build_machine(), run.layout.clone()),
+            || SimSink::new(preset.build_machine(), trace.layout.clone()),
             |mut sink| {
-                run.trace.replay_into(&mut sink);
+                trace.replay_into(&mut sink);
                 sink.finish()
             },
         );
@@ -1020,7 +1042,7 @@ fn run_bench_sim_throughput(cfg: &RunConfig) -> Vec<Row> {
         for (path, path_ms, result) in paths {
             rows.push(row![
                 app.name(),
-                run.num_objects,
+                trace.layout.num_objects,
                 procs,
                 path,
                 accesses,
@@ -1086,11 +1108,7 @@ fn summarize_bench_paths(
     sum_cols: &[usize],
     speedup_col: usize,
 ) -> Vec<PathSummary> {
-    let cell = |r: &Row, i: usize| match &r.cells[i] {
-        Value::Int(v) => *v as f64,
-        Value::Float(v) => *v,
-        Value::Str(_) => 0.0,
-    };
+    let cell = |r: &Row, i: usize| as_f64(&r.cells[i]);
     paths
         .iter()
         .copied()
@@ -1140,9 +1158,13 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
     // gets the whole machine (like the sim-throughput bench).
     let mut rows = Vec::new();
     for (app, workload) in DSM_THROUGHPUT_APPS {
+        // Timing the reduction of a materialized trace is this bench's job.
         let (n, iters) = (scale.size_of(app), scale.iterations_of(app));
-        let run = build_run_sized(app, Ordering::Original, n, iters, procs, seed);
-        let accesses = run.trace.total_accesses() as u64;
+        let (builder, _) = stream_run(app, Ordering::Original, n, iters, seed, |l| {
+            smtrace::TraceBuilder::new(l.clone(), procs)
+        });
+        let trace = builder.finish();
+        let (layout, accesses) = (&trace.layout, trace.total_accesses() as u64);
 
         // Path 1 — the preserved map-based serial pipeline; each protocol re-reduces
         // the trace from scratch.
@@ -1150,8 +1172,8 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
             repetitions,
             || (),
             |()| {
-                let tmk = dsm::reference::run_treadmarks(config, &run.trace, &run.layout);
-                let hlrc = dsm::reference::run_hlrc(config, &run.trace, &run.layout);
+                let tmk = dsm::reference::run_treadmarks(config, &trace, layout);
+                let hlrc = dsm::reference::run_hlrc(config, &trace, layout);
                 (tmk, hlrc)
             },
         );
@@ -1161,7 +1183,7 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
         let (mat_ms, mat_results) = best_of(
             repetitions,
             || (),
-            |()| protocols(&PageWriteHistory::build(&run.trace, &run.layout, config.page_bytes)),
+            |()| protocols(&PageWriteHistory::build(&trace, layout, config.page_bytes)),
         );
 
         // Path 3 — the trace streams through a PageHistorySink (the no-materialized-
@@ -1170,8 +1192,8 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
             repetitions,
             || (),
             |()| {
-                let mut sink = PageHistorySink::new(run.layout.clone(), procs, config.page_bytes);
-                run.trace.replay_into(&mut sink);
+                let mut sink = PageHistorySink::new(layout.clone(), procs, config.page_bytes);
+                trace.replay_into(&mut sink);
                 protocols(&sink.finish())
             },
         );
@@ -1204,7 +1226,7 @@ fn run_bench_dsm_throughput(cfg: &RunConfig) -> Vec<Row> {
             rows.push(row![
                 app.name(),
                 workload,
-                run.num_objects,
+                layout.num_objects,
                 procs,
                 path,
                 accesses,
@@ -1431,43 +1453,50 @@ fn run_bench_trace_throughput(cfg: &RunConfig) -> Vec<Row> {
     rows
 }
 
+/// Consistency-unit sizes of the unit-size ablation, cache line to large page.
+const UNIT_SWEEP_BYTES: [usize; 6] = [128, 512, 1024, 4096, 8192, 16384];
+
 fn run_ablation_unit_sweep(cfg: &RunConfig) -> Vec<Row> {
     let n = if cfg.scale == Scale::Paper { 32_000 } else { 6_000 };
     let procs = cfg.procs_or(16);
     let seed = cfg.seed_or(31);
-    // Stage 1: trace the two reordered versions in parallel.
-    let traces = par_map(vec![Method::Hilbert, Method::Column], |method| {
-        let mut sim = Moldyn::lattice(n, seed, MoldynParams::default());
-        sim.reorder(method);
-        sim.trace_steps(2, procs)
-    });
-    // Stage 2: sweep unit sizes in parallel over the shared traces.
-    let traces = &traces;
-    let keyed: Vec<(CellKey, usize)> = [128usize, 512, 1024, 4096, 8192, 16384]
+    let cells: Vec<(CellKey, Method)> = [Method::Hilbert, Method::Column]
         .into_iter()
-        .map(|unit| {
+        .map(|method| {
             let key = KeyBuilder::new("ablation_unit_sweep")
                 .field_usize("molecules", n)
                 .field_usize("procs", procs)
                 .field_u64("seed", seed)
-                .field_usize("unit", unit)
+                .field_str("method", method.name())
                 .finish();
-            (key, unit)
+            (key, method)
         })
         .collect();
-    run_keyed_cells(keyed, move |unit| {
-        let mut message_counts = Vec::new();
-        let mut cells: Vec<Value> = vec![unit.into()];
-        for trace in traces {
-            let r = TreadMarksSim::new(DsmConfig::new(unit, procs)).run(trace);
-            message_counts.push(r.stats.messages);
-            cells.push(r.stats.messages.into());
-            cells.push(r.stats.data_mbytes().into());
-        }
-        cells
-            .push(if message_counts[0] <= message_counts[1] { "hilbert" } else { "column" }.into());
-        vec![Row { cells }]
-    })
+    // One cell per method: a single streamed pass reduces the run at every unit size.
+    let unit_rows = run_keyed_cells(cells, |method| {
+        let (sink, _) = stream_run(AppKind::Moldyn, Ordering::Reordered(method), n, 2, seed, |l| {
+            PageHistorySink::with_granularities(l.clone(), procs, &UNIT_SWEEP_BYTES)
+        });
+        sink.finish_all()
+            .iter()
+            .map(|history| {
+                let config = DsmConfig::new(history.page_bytes, procs);
+                let r = TreadMarksSim::new(config).run_history(history);
+                row![method.name(), history.page_bytes, r.stats.messages, r.stats.data_mbytes()]
+            })
+            .collect()
+    });
+    labelled(&unit_rows, Method::Hilbert.name())
+        .zip(labelled(&unit_rows, Method::Column.name()))
+        .map(|(h, c)| {
+            let fewer =
+                if as_f64(&h.cells[2]) <= as_f64(&c.cells[2]) { "hilbert" } else { "column" };
+            let mut cells = h.cells[1..].to_vec();
+            cells.extend_from_slice(&c.cells[2..]);
+            cells.push(fewer.into());
+            Row { cells }
+        })
+        .collect()
 }
 
 #[cfg(test)]

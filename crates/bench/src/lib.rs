@@ -10,9 +10,10 @@
 //!   orderings compared (original random order, Hilbert, Morton, column, row);
 //! * [`stream_run`] — the one cell pipeline: build an application, apply an ordering,
 //!   stream its traced execution straight into a sink (a `memsim::SimSink`, a
-//!   `dsm::PageHistorySink`, or — via [`build_run_sized`] — a materializing
-//!   `TraceBuilder`), and report the cost of the reordering call itself (the "Cost of
-//!   Reorder" columns of Tables 2 and 3);
+//!   `dsm::PageHistorySink`, an `smtrace::UnitSetsSink`, or — for the throughput
+//!   benches and the oracle tests only — a materializing `TraceBuilder`), and report
+//!   the cost of the reordering call itself (the "Cost of Reorder" columns of Tables 2
+//!   and 3);
 //! * [`Scale`] — problem sizes: `Paper` uses the sizes from Table 1 of the paper,
 //!   `Small` (the default) uses reduced sizes so every experiment finishes in
 //!   seconds, and `Tiny` is for smoke tests.  `xp --scale` selects one.
@@ -32,7 +33,7 @@ use std::time::Instant;
 use molecular::{Moldyn, MoldynParams, WaterSpatial, WaterSpatialParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
 use reorder::{Method, Reordering};
-use smtrace::{ObjectLayout, ProgramTrace, TraceBuilder, TraceSink};
+use smtrace::{ObjectLayout, TraceSink};
 use unstructured::{Unstructured, UnstructuredParams};
 
 /// The five applications of the study.
@@ -187,29 +188,13 @@ impl Scale {
     }
 }
 
-/// The result of building and tracing one application under one ordering.
-pub struct AppRun {
-    /// Which application.
-    pub app: AppKind,
-    /// Which ordering was applied.
-    pub ordering: Ordering,
-    /// Number of objects in the object array.
-    pub num_objects: usize,
-    /// Object-array layout (paper object sizes).
-    pub layout: ObjectLayout,
-    /// The recorded access trace over `num_procs` virtual processors.
-    pub trace: ProgramTrace,
-    /// Wall-clock seconds spent in the reordering routine (0 for the original order).
-    pub reorder_seconds: f64,
-}
-
 /// The one cell pipeline: build an application with `n` objects, apply `ordering`,
 /// and stream `iters` iterations of its sharded execution straight into the sink
 /// `make_sink` builds from the (post-reorder) layout.
 ///
 /// Returns the fed sink and the wall-clock seconds of the reordering call (0 for the
-/// original order).  No trace is materialized unless the sink itself does so, which
-/// is exactly what [`build_run_sized`] asks for.
+/// original order).  No trace is materialized unless the sink itself is a
+/// `TraceBuilder`.
 pub fn stream_run<S: TraceSink>(
     app: AppKind,
     ordering: Ordering,
@@ -230,25 +215,6 @@ pub fn stream_run<S: TraceSink>(
     let mut sink = make_sink(&live.layout());
     live.stream_sharded(iters, &mut sink);
     (sink, reorder_seconds)
-}
-
-/// [`stream_run`] into a [`TraceBuilder`]: the materialized trace over `num_procs`
-/// virtual processors, for the analyses that re-read a whole trace (the page maps of
-/// Figures 1–2 and 4–5, and the throughput benches' replay paths).
-pub fn build_run_sized(
-    app: AppKind,
-    ordering: Ordering,
-    n: usize,
-    iters: usize,
-    num_procs: usize,
-    seed: u64,
-) -> AppRun {
-    let (builder, reorder_seconds) = stream_run(app, ordering, n, iters, seed, |layout| {
-        TraceBuilder::new(layout.clone(), num_procs)
-    });
-    let trace = builder.finish();
-    let layout = trace.layout.clone();
-    AppRun { app, ordering, num_objects: layout.num_objects, layout, trace, reorder_seconds }
 }
 
 /// A live application instance with the standard workload generator and default
@@ -386,20 +352,24 @@ mod tests {
     }
 
     #[test]
-    fn build_run_produces_a_consistent_trace_for_each_app() {
+    fn stream_run_produces_a_consistent_trace_for_each_app() {
         for app in AppKind::ALL {
-            let run = build_run_sized(app, Ordering::Original, 512, 1, 4, 1);
-            assert_eq!(run.trace.num_procs, 4);
-            assert!(run.trace.total_accesses() > 0, "{app:?} recorded no accesses");
-            assert_eq!(run.layout.num_objects, run.num_objects);
+            let (builder, _) = stream_run(app, Ordering::Original, 512, 1, 1, |layout| {
+                smtrace::TraceBuilder::new(layout.clone(), 4)
+            });
+            let trace = builder.finish();
+            assert_eq!(trace.num_procs, 4);
+            assert!(trace.total_accesses() > 0, "{app:?} recorded no accesses");
+            assert_eq!(trace.layout.num_objects, LiveApp::build(app, 512, 1).num_objects());
         }
     }
 
     #[test]
     fn reordered_runs_report_a_nonzero_reorder_cost() {
-        let run =
-            build_run_sized(AppKind::Moldyn, Ordering::Reordered(Method::Column), 1000, 1, 4, 2);
-        assert!(run.reorder_seconds > 0.0);
+        let ordering = Ordering::Reordered(Method::Column);
+        let (_, reorder_seconds) =
+            stream_run(AppKind::Moldyn, ordering, 1000, 1, 2, |_| smtrace::NullSink::new(4));
+        assert!(reorder_seconds > 0.0);
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl From<f64> for Value {
 }
 
 /// One data row; cells are positional and match the spec's `columns`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Cell values, one per column.
     pub cells: Vec<Value>,

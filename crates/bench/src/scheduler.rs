@@ -171,7 +171,7 @@ pub(crate) fn with_fault_collector<R>(
 // The scheduler: fair bounded slots shared by concurrent experiments.
 
 /// Payload of the cancellation unwind: [`run_keyed_cells`]/[`run_cells`] raise it
-/// via `panic_any` between waves when the job's cancel flag is set, and the serve
+/// before and after every wave when the job's cancel flag is set, and the serve
 /// front end's per-job `catch_unwind` classifies it as a cancellation rather than
 /// a crash.  Nothing below the wave boundary observes it — attempts in flight run
 /// to completion first (same classify-not-preempt stance as the watchdog).
@@ -202,7 +202,7 @@ pub struct JobSession {
     pub cache: Option<Arc<CellCache>>,
     /// Streamed per-cell progress events.
     pub events: Option<Sender<CellEvent>>,
-    /// Cooperative cancellation flag (checked between waves).
+    /// Cooperative cancellation flag (checked before and after every wave).
     pub cancel: Option<Arc<AtomicBool>>,
     /// Hit/computed counters for the job's summary.
     pub counters: Option<Arc<JobCounters>>,
@@ -577,7 +577,10 @@ where
                     .map(|&i| (i, cells[i].clone()))
                     .collect();
                 at += batch.len();
-                let results = par_map(batch, |(i, cell)| (i, run_attempt(cell, f, policy.timeout)));
+                let results: Vec<_> = batch
+                    .into_par_iter()
+                    .map(|(i, cell)| (i, run_attempt(cell, f, policy.timeout)))
+                    .collect();
                 drop(grant);
                 for (i, (result, elapsed)) in results {
                     attempts[i] = round;
@@ -639,6 +642,9 @@ where
                         }
                     }
                 }
+                // A cancel that landed while this wave ran must not let the job
+                // report `ok`: the wave's rows are cached above, then the job unwinds.
+                check_cancelled(&ctx);
             }
             pending = next_pending;
         }
@@ -804,17 +810,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// Map one experiment function per cell on rayon worker threads, preserving order
-/// (for specs that need to combine cell outputs before forming rows).
-pub fn par_map<C, T, F>(cells: Vec<C>, f: F) -> Vec<T>
-where
-    C: Send,
-    T: Send,
-    F: Fn(C) -> T + Sync,
-{
-    cells.into_par_iter().map(f).collect()
 }
 
 #[cfg(test)]

@@ -194,10 +194,10 @@ fn result_replays_a_finished_artifact() {
 
 #[test]
 fn cancel_unwinds_a_running_job_gracefully() {
-    // The unit-size ablation spends its opening stage tracing two Moldyn runs
-    // before its first cell wave, so a cancel sent right behind the submit is
-    // always observed at the wave boundary: the job ends "cancelled", the
-    // session survives, and the drain still emits bye.
+    // A cancel sent right behind the submit lands before, during or after the
+    // unit-size ablation's first wave; the flag is checked on both sides of
+    // every wave, so the job ends "cancelled", the session survives, and the
+    // drain still emits bye.
     let script = concat!(
         "{\"cmd\": \"submit\", \"experiment\": \"unit-sweep\", \"scale\": \"small\", \"job\": 9}\n",
         "{\"cmd\": \"cancel\", \"job\": 9}\n",
@@ -210,6 +210,45 @@ fn cancel_unwinds_a_running_job_gracefully() {
     assert_eq!(done.len(), 1, "{all:?}");
     assert_eq!(done[0].get("status").and_then(Json::as_str), Some("cancelled"), "{all:?}");
     assert_eq!(events(&all, "bye").len(), 1);
+}
+
+/// A cancel that arrives while a job's *last* wave runs must still unwind it: serve
+/// has already answered `"pending": true`, so reporting `ok` would contradict it.
+/// The delay failpoint holds every cell of the single wave (`fig3` is 4 cells on 4
+/// slots) until the cancel is in.
+#[cfg(feature = "failpoints")]
+#[test]
+fn cancel_during_the_final_wave_reports_cancelled() {
+    let _delay = failpoint::configure_guard("runner/cell", "delay(1500)").unwrap();
+    let shared = Arc::new(ServeShared::new(4, Arc::new(CellCache::new())));
+    let out = SharedBuf::default();
+    let sink = out.clone();
+    let (tx, rx) = mpsc::channel::<Vec<u8>>();
+    let session = std::thread::spawn(move || {
+        let input = std::io::BufReader::new(ChannelReader { rx, pending: Vec::new() });
+        serve_session(input, sink, shared, Arc::new(AtomicBool::new(false))).unwrap()
+    });
+
+    tx.send(b"{\"cmd\": \"submit\", \"experiment\": \"fig3\", \"job\": 4}\n".to_vec()).unwrap();
+    out.wait_for("\"event\": \"accepted\"");
+    // A cell attempt has started, so the pre-wave check is behind the job.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while failpoint::evaluations("runner/cell") == 0 {
+        assert!(Instant::now() < deadline, "no cell attempt started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    tx.send(b"{\"cmd\": \"cancel\", \"job\": 4}\n".to_vec()).unwrap();
+    out.wait_for("\"event\": \"done\"");
+    drop(tx);
+    session.join().unwrap();
+
+    let all = parse_lines(&out.text());
+    let cancelling = events(&all, "cancelling");
+    assert_eq!(cancelling.len(), 1, "{all:?}");
+    assert_eq!(cancelling[0].get("pending"), Some(&Json::Bool(true)), "{all:?}");
+    let done = events(&all, "done");
+    assert_eq!(done.len(), 1, "{all:?}");
+    assert_eq!(done[0].get("status").and_then(Json::as_str), Some("cancelled"), "{all:?}");
 }
 
 #[test]

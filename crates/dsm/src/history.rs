@@ -213,6 +213,18 @@ impl PageWriteHistory {
         sink.finish()
     }
 
+    /// The history of the first `len` intervals alone — what [`PageWriteHistory::build`]
+    /// reduces from the trace truncated after them.  Only a trailing `End` interval is
+    /// not barrier-closed, so the prefix keeps `min(len, barriers)` barriers.
+    pub fn prefix(&self, len: usize) -> PageWriteHistory {
+        let len = len.min(self.intervals.len());
+        PageWriteHistory {
+            intervals: self.intervals[..len].to_vec(),
+            barriers: self.barriers.min(len as u64),
+            ..*self
+        }
+    }
+
     /// Total object accesses performed by processor `p` across the run.
     pub fn proc_accesses(&self, p: usize) -> u64 {
         self.intervals.iter().map(|iv| iv[p].accesses).sum()
@@ -254,6 +266,26 @@ mod tests {
         assert_eq!(p1.write_bytes_on(1), 64);
         assert_eq!(p1.lock_acquires, 1);
         assert_eq!(h.barriers, 1);
+    }
+
+    #[test]
+    fn prefix_matches_building_the_truncated_trace() {
+        let layout = ObjectLayout::new(128, 64);
+        let mut b = TraceBuilder::new(layout.clone(), 2);
+        b.write(0, 0);
+        b.barrier();
+        b.read(1, 70);
+        b.barrier();
+        b.write(1, 1); // trailing `End` interval: no barrier closes it
+        let trace = b.finish();
+        let full = PageWriteHistory::build(&trace, &layout, 4096);
+        for len in 0..=trace.intervals.len() {
+            let mut truncated = trace.clone();
+            truncated.intervals.truncate(len);
+            let built = PageWriteHistory::build(&truncated, &layout, 4096);
+            assert_eq!(full.prefix(len), built, "prefix of {len} intervals");
+        }
+        assert_eq!(full.prefix(3).barriers, 2);
     }
 
     #[test]

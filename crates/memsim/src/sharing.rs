@@ -3,12 +3,15 @@
 //! Figure 1 (and Figure 4 after reordering) show *which pages each processor updates*
 //! for the 168-particle example; Figures 2 and 5 plot, for the 32 768-particle run, the
 //! *number of processors sharing each page* of the particle array, before and after
-//! Hilbert reordering.  Both are pure functions of the trace and the object layout,
-//! computed here.
+//! Hilbert reordering.  Both are folds over a [`UnitSetsSink`]'s per-interval unit
+//! sets, so the figures stream a run straight into the sink; [`page_sharing`] replays a
+//! materialized trace into the same sink.
 
 use std::collections::BTreeSet;
 
-use smtrace::{ObjectLayout, ProgramTrace, SharingHistogram, UnitAccessSets};
+use smtrace::{
+    ObjectLayout, ProgramTrace, SharingHistogram, TraceSink, UnitAccessSets, UnitSetsSink,
+};
 
 /// The per-page sharing report for one trace at one consistency-unit size.
 #[derive(Debug, Clone)]
@@ -28,6 +31,22 @@ pub struct PageSharingReport {
 }
 
 impl PageSharingReport {
+    /// Fold a [`UnitSetsSink`]'s per-interval reduction into the aggregate report: a
+    /// processor counts as sharing a unit if it touches it in *any* interval.  This
+    /// matches the paper's figures, which are per-iteration snapshots of a
+    /// steady-state iteration.
+    pub fn from_sink(sink: UnitSetsSink) -> Self {
+        let (unit_bytes, num_units) = (sink.unit_bytes(), sink.num_units());
+        let hist = SharingHistogram::from_unit_sets(&per_proc_union(sink), num_units);
+        PageSharingReport {
+            unit_bytes,
+            num_units,
+            falsely_shared_units: hist.falsely_shared_units(),
+            sharers: hist.sharers,
+            writers: hist.writers,
+        }
+    }
+
     /// Average number of processors sharing a unit, over units touched at least once.
     pub fn mean_sharers(&self) -> f64 {
         let touched: Vec<u32> = self.sharers.iter().copied().filter(|&s| s > 0).collect();
@@ -55,46 +74,33 @@ impl PageSharingReport {
     }
 }
 
-/// Compute the aggregate sharing report over the whole trace: a processor counts as
-/// sharing a unit if it touches it in *any* interval.  This matches the paper's figures,
-/// which are per-iteration snapshots of a steady-state iteration.
+/// [`PageSharingReport::from_sink`] over a materialized trace, replayed into the sink.
 pub fn page_sharing(
     trace: &ProgramTrace,
     layout: &ObjectLayout,
     unit_bytes: usize,
 ) -> PageSharingReport {
-    let num_units = layout.num_units(unit_bytes);
-    // Aggregate each processor's sets over all intervals first, then count sharers.
-    let mut per_proc: Vec<UnitAccessSets> = vec![UnitAccessSets::default(); trace.num_procs];
-    for interval in &trace.intervals {
-        for (p, sets) in interval.unit_sets(layout, unit_bytes).into_iter().enumerate() {
-            per_proc[p].read_units.extend(sets.read_units.iter().copied());
-            per_proc[p].write_units.extend(sets.write_units.iter().copied());
-            per_proc[p].read_objects.extend(sets.read_objects.iter().copied());
-            per_proc[p].written_objects.extend(sets.written_objects.iter().copied());
-        }
-    }
-    let hist = SharingHistogram::from_unit_sets(&per_proc, num_units);
-    PageSharingReport {
-        unit_bytes,
-        num_units,
-        sharers: hist.sharers,
-        writers: hist.writers,
-        falsely_shared_units: hist.falsely_shared.iter().filter(|&&f| f).count(),
-    }
+    let mut sink = UnitSetsSink::new(layout.clone(), trace.num_procs, unit_bytes);
+    trace.replay_into(&mut sink);
+    PageSharingReport::from_sink(sink)
 }
 
-/// For each processor, the set of units it *writes* anywhere in the trace — the data
-/// behind Figure 1 / Figure 4 ("locations to be updated by the four processors").
-pub fn page_update_map(
-    trace: &ProgramTrace,
-    layout: &ObjectLayout,
-    unit_bytes: usize,
-) -> Vec<BTreeSet<usize>> {
-    let mut per_proc = vec![BTreeSet::new(); trace.num_procs];
-    for interval in &trace.intervals {
-        for (p, sets) in interval.unit_sets(layout, unit_bytes).into_iter().enumerate() {
-            per_proc[p].extend(sets.write_units.iter().copied());
+/// For each processor, the set of units it *writes* anywhere in the sink's stream —
+/// the data behind Figure 1 / Figure 4 ("locations to be updated by the four
+/// processors").
+pub fn page_update_map(sink: UnitSetsSink) -> Vec<BTreeSet<usize>> {
+    per_proc_union(sink).into_iter().map(|sets| sets.write_units).collect()
+}
+
+/// Each processor's unit sets unioned over every interval of the sink's reduction.
+fn per_proc_union(sink: UnitSetsSink) -> Vec<UnitAccessSets> {
+    let mut per_proc = vec![UnitAccessSets::default(); sink.num_procs()];
+    for interval in sink.finish() {
+        for (total, sets) in per_proc.iter_mut().zip(interval.per_proc) {
+            total.read_units.extend(sets.read_units);
+            total.write_units.extend(sets.write_units);
+            total.read_objects.extend(sets.read_objects);
+            total.written_objects.extend(sets.written_objects);
         }
     }
     per_proc
@@ -149,30 +155,28 @@ mod tests {
     fn update_map_reports_written_pages_per_processor() {
         let n = 168;
         let layout = ObjectLayout::new(n, 96);
-        let mut b = TraceBuilder::new(layout.clone(), 4);
+        let mut sink = UnitSetsSink::new(layout.clone(), 4, 4096);
         // Processor p updates objects scattered with stride 4 (like the paper's Figure 1).
         for p in 0..4 {
             for k in 0..(n / 4) {
-                b.write(p, p + 4 * k);
+                sink.write(p, p + 4 * k);
             }
         }
-        b.barrier();
-        let t = b.finish();
-        let map = page_update_map(&t, &layout, 4096);
+        sink.barrier();
+        let map = page_update_map(sink);
         // Every processor touches every one of the 4 pages.
         for pages in &map {
             assert_eq!(pages.len(), 4);
         }
         // Block assignment instead: each processor's writes stay on ~1 page.
-        let mut b = TraceBuilder::new(layout.clone(), 4);
+        let mut sink = UnitSetsSink::new(layout, 4, 4096);
         for p in 0..4 {
             for k in 0..(n / 4) {
-                b.write(p, p * (n / 4) + k);
+                sink.write(p, p * (n / 4) + k);
             }
         }
-        b.barrier();
-        let t = b.finish();
-        let map = page_update_map(&t, &layout, 4096);
+        sink.barrier();
+        let map = page_update_map(sink);
         for pages in &map {
             assert!(pages.len() <= 2, "block assignment must stay within 1-2 pages");
         }

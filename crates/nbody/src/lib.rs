@@ -57,5 +57,5 @@ pub mod vec3;
 
 pub use barnes_hut::{BarnesHut, BarnesHutParams};
 pub use body::Body;
-pub use fmm::{Fmm, FmmParams, FmmPhaseBreakdown};
+pub use fmm::{Fmm, FmmParams};
 pub use vec3::Vec3;

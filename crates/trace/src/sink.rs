@@ -199,6 +199,11 @@ impl UnitSetsSink {
         self.unit_bytes
     }
 
+    /// Number of consistency units covering the object array.
+    pub fn num_units(&self) -> usize {
+        self.layout.num_units(self.unit_bytes)
+    }
+
     /// Finish the stream and return one [`IntervalUnitSets`] per synchronization
     /// interval (a non-empty trailing interval is kept, like
     /// [`crate::TraceBuilder::finish`]).
