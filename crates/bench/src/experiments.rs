@@ -2,7 +2,7 @@
 //!
 //! Each spec is an [`ExperimentSpec`]: metadata plus a `run` function that builds the
 //! independent cells of its method × workload × substrate matrix and fans them out via
-//! [`crate::scheduler::run_cells`].  The `xp` binary executes these specs; DESIGN.md §5
+//! [`crate::scheduler::run_keyed_cells`].  The `xp` binary executes these specs; DESIGN.md §5
 //! holds the table/figure → id index.
 
 use std::collections::BTreeSet;
@@ -339,20 +339,30 @@ fn orderings_for(app: AppKind, dsm_order: bool) -> Vec<Ordering> {
     }
 }
 
-/// One Origin 2000 cell: stream `app` at `scale` under `ordering` into a `SimSink`
-/// over `procs` processors.  Returns the simulation result and the reorder seconds.
-fn origin_cell(
+/// One Origin 2000 run: stream `app` at `scale` under `ordering` once into a `SimSink`
+/// over `procs` processors — with its processor-folded one-processor twin when `fold`
+/// is set, so the same generation also yields the sequential counters.  Returns the
+/// `procs`-processor result, the twin's result (`None` unless `fold`) and the reorder
+/// seconds.
+fn origin_run(
     app: AppKind,
     ordering: Ordering,
     scale: Scale,
     procs: usize,
     seed: u64,
-) -> (SimulationResult, f64) {
+    fold: bool,
+) -> (SimulationResult, Option<SimulationResult>, f64) {
     let (sink, reorder_seconds) =
         stream_run(app, ordering, scale.size_of(app), scale.iterations_of(app), seed, |layout| {
-            SimSink::new(OriginPreset::origin2000(procs).build_machine(), layout.clone())
+            let machine = OriginPreset::origin2000(procs).build_machine();
+            if fold {
+                SimSink::with_folded_twin(machine, layout.clone())
+            } else {
+                SimSink::new(machine, layout.clone())
+            }
         });
-    (sink.finish(), reorder_seconds)
+    let (result, twin) = sink.finish_with_twin();
+    (result, twin, reorder_seconds)
 }
 
 /// One software-DSM cell: stream `app` at `scale` under `ordering` into one
@@ -422,25 +432,18 @@ fn run_table2(cfg: &RunConfig) -> Vec<Row> {
         })
         .collect();
     run_keyed_cells(cells, |(app, ordering)| {
-        let mut reorder_cost = 0.0f64;
-        let mut per_procs = Vec::new();
-        for procs in [1usize, par_procs] {
-            let (result, reorder_seconds) = origin_cell(app, ordering, scale, procs, seed);
-            reorder_cost = reorder_seconds.max(reorder_cost);
-            per_procs.push((cost.machine_time(&result), result.l2_misses(), result.tlb_misses()));
-        }
-        let (seq_t, seq_l2, seq_tlb) = per_procs[0];
-        let (par_t, par_l2, par_tlb) = per_procs[1];
+        let (par, seq, reorder_seconds) = origin_run(app, ordering, scale, par_procs, seed, true);
+        let seq = seq.expect("a folded run carries the one-processor twin");
         vec![row![
             app.name(),
             ordering.name(),
-            reorder_cost,
-            seq_t,
-            seq_l2,
-            seq_tlb,
-            par_t,
-            par_l2,
-            par_tlb
+            reorder_seconds,
+            cost.machine_time(&seq),
+            seq.l2_misses(),
+            seq.tlb_misses(),
+            cost.machine_time(&par),
+            par.l2_misses(),
+            par.tlb_misses()
         ]]
     })
 }
@@ -748,13 +751,15 @@ fn run_fig07(cfg: &RunConfig) -> Vec<Row> {
         })
         .collect();
     run_keyed_cells(cells, |app| {
-        // Sequential baseline: the original version on one processor.
-        let seq_time = cost.machine_time(&origin_cell(app, Ordering::Original, scale, 1, seed).0);
+        // The original version's run also yields the sequential baseline: its
+        // processor-folded twin is the original version on one processor.
+        let (original, seq, _) = origin_run(app, Ordering::Original, scale, procs, seed, true);
+        let seq_time = cost.machine_time(&seq.expect("a folded run carries the twin"));
         let speedup_of = |ordering: Ordering| -> f64 {
-            let (r, reorder_seconds) = origin_cell(app, ordering, scale, procs, seed);
+            let (r, _, reorder_seconds) = origin_run(app, ordering, scale, procs, seed, false);
             seq_time / (cost.machine_time(&r) + reorder_seconds)
         };
-        let original = speedup_of(Ordering::Original);
+        let original = seq_time / cost.machine_time(&original);
         let hilbert = speedup_of(Ordering::Reordered(Method::Hilbert));
         let column = if app.is_category2() {
             Value::Float(speedup_of(Ordering::Reordered(Method::Column)))

@@ -9,14 +9,20 @@
 //! Each driven run feeds one tee of three consumers at once — a materializing
 //! [`TraceBuilder`], a streaming [`SimSink`] and a streaming [`PageHistorySink`] — so
 //! the comparison covers the raw event stream and both downstream reductions.
+//!
+//! The last suite pins processor folding: a one-processor run's trace is the
+//! P-processor trace with each interval's streams concatenated in processor order,
+//! and a `SimSink`'s folded twin returns the one-processor run's counters.
 
 use proptest::prelude::*;
 
 use dsm::{DsmConfig, PageHistorySink, PageWriteHistory, TreadMarksSim};
-use memsim::{OriginPreset, SimSink, SimulationResult};
+use memsim::{CacheConfig, MultiprocessorSim, OriginPreset, SimSink, SimulationResult, TlbConfig};
 use molecular::{Moldyn, MoldynParams, WaterSpatial, WaterSpatialParams};
 use nbody::{BarnesHut, BarnesHutParams, Fmm, FmmParams};
-use smtrace::{ObjectLayout, ProgramTrace, TeeSink, TraceBuilder};
+use reorder::Method;
+use repro_bench::{AppKind, LiveApp};
+use smtrace::{IntervalTrace, ObjectLayout, ProgramTrace, TeeSink, TraceBuilder};
 use unstructured::{Unstructured, UnstructuredParams};
 
 /// DSM page granularity used by the history reduction (sub-page, so straddling
@@ -212,5 +218,70 @@ proptest! {
             run_instrumented(&layout, procs, |sink| sharded.stream_sweeps(1, sink))
         });
         assert_reductions_match(a, b, procs);
+    }
+}
+
+/// `trace` on one processor: each interval's per-processor streams concatenated in
+/// ascending processor order, lock acquisitions summed, the same closing sync.
+fn folded(trace: &ProgramTrace) -> ProgramTrace {
+    ProgramTrace {
+        layout: trace.layout.clone(),
+        num_procs: 1,
+        intervals: trace
+            .intervals
+            .iter()
+            .map(|interval| IntervalTrace {
+                accesses: vec![interval.accesses.concat()],
+                lock_acquisitions: vec![interval.lock_acquisitions.iter().sum()],
+                closing_sync: interval.closing_sync,
+            })
+            .collect(),
+    }
+}
+
+/// A 4 KB L2 and a 4-entry TLB over 1 KB pages: every generated run overflows
+/// both, so the counters depend on the replay order and a misfolded twin shows.
+fn small_machine(procs: usize) -> MultiprocessorSim {
+    MultiprocessorSim::new(procs, CacheConfig::new(4 << 10, 128, 2), TlbConfig::new(4, 1024))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every partitioner hands processor `p` a contiguous slice of the serial program
+    /// order, so folding the P-processor run gives the one-processor run — the
+    /// contract that lets an Origin cell take its sequential counters from the
+    /// P-processor generation.
+    #[test]
+    fn one_processor_run_is_the_folded_multiprocessor_run(
+        args in ((0usize..5, 0usize..3), 32usize..400, 1usize..17, 1usize..3, 0u64..1000)
+    ) {
+        let ((app_index, ordering_index), n, procs, iters, seed) = args;
+        let app = AppKind::ALL[app_index];
+        let mut initial = LiveApp::build(app, n, seed);
+        match ordering_index {
+            0 => {}
+            1 => drop(initial.reorder(Method::Hilbert)),
+            _ => drop(initial.reorder(Method::Column)),
+        }
+        let layout = initial.layout();
+
+        let mut parallel = TraceBuilder::new(layout.clone(), procs);
+        initial.clone().stream_sharded(iters, &mut parallel);
+        let parallel = parallel.finish();
+
+        // The in-place path: the sink replays straight from the generator's shards.
+        let mut twinned = SimSink::with_folded_twin(small_machine(procs), layout.clone());
+        initial.clone().stream_sharded(iters, &mut twinned);
+        let (par_result, twin_result) = twinned.finish_with_twin();
+
+        let mut serial = TraceBuilder::new(layout.clone(), 1);
+        let mut serial_sim = SimSink::new(small_machine(1), layout.clone());
+        initial.stream_sharded(iters, &mut TeeSink::new(&mut serial, &mut serial_sim));
+
+        prop_assert_eq!(folded(&parallel), serial.finish(), "{} / P={}", app.name(), procs);
+        prop_assert_eq!(Some(serial_sim.finish()), twin_result, "twin diverged");
+        let replayed = small_machine(procs).run_trace_with_layout(&parallel, &layout);
+        prop_assert_eq!(par_result, replayed, "in-place replay diverged");
     }
 }

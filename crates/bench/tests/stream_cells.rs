@@ -7,7 +7,8 @@
 //!   `TraceBuilder`, and both protocols evaluated on that one history must return the
 //!   full `DsmRunResult`s of the map-based `dsm::reference` spec.
 //! * Origin cells: `stream_run` into a `SimSink` must return the counters of
-//!   `run_trace_with_layout` on the materialized trace, bit for bit.
+//!   `run_trace_with_layout` on the materialized trace, bit for bit, and its folded
+//!   one-processor twin those of the materialized one-processor trace.
 //! * Table 4 cells: every interval prefix of one streamed FMM history must equal
 //!   `PageWriteHistory::build` over the trace truncated after that interval.
 //! * Figures 1/2/4/5: the rows `fig01_04` and `fig02_05` stream through
@@ -42,8 +43,12 @@ fn table_cells() -> Vec<(AppKind, Ordering)> {
 
 /// The run a cell streams, materialized instead: the oracle side of every check.
 fn materialized(app: AppKind, ordering: Ordering, iters: usize) -> ProgramTrace {
+    materialized_on(app, ordering, iters, PROCS)
+}
+
+fn materialized_on(app: AppKind, ordering: Ordering, iters: usize, procs: usize) -> ProgramTrace {
     let (builder, _) = stream_run(app, ordering, SCALE.size_of(app), iters, SEED, |layout| {
-        TraceBuilder::new(layout.clone(), PROCS)
+        TraceBuilder::new(layout.clone(), procs)
     });
     builder.finish()
 }
@@ -78,14 +83,20 @@ fn streamed_origin_cells_match_materialized_replay() {
         let (n, iters) = (SCALE.size_of(app), SCALE.iterations_of(app));
         let preset = OriginPreset::origin2000(PROCS);
         let (sink, _) = stream_run(app, ordering, n, iters, SEED, |layout| {
-            SimSink::new(preset.build_machine(), layout.clone())
+            SimSink::with_folded_twin(preset.build_machine(), layout.clone())
         });
-        let streamed = sink.finish();
+        let (streamed, twin) = sink.finish_with_twin();
 
         let trace = materialized(app, ordering, iters);
         let replayed = preset.build_machine().run_trace_with_layout(&trace, &trace.layout);
         assert_eq!(streamed, replayed, "{label}: streamed Origin counters diverged");
         assert_eq!(streamed.totals().accesses, trace.total_accesses() as u64, "{label}");
+
+        let serial = materialized_on(app, ordering, iters, 1);
+        let sequential = OriginPreset::origin2000(1)
+            .build_machine()
+            .run_trace_with_layout(&serial, &serial.layout);
+        assert_eq!(twin, Some(sequential), "{label}: folded twin diverged from the P=1 run");
     }
 }
 

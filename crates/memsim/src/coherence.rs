@@ -23,10 +23,13 @@
 //!
 //! Traces can be replayed from a materialized [`ProgramTrace`]
 //! ([`MultiprocessorSim::run_trace`]) or streamed straight from a running application
-//! through [`SimSink`], which buffers one synchronization interval at a time and never
-//! materializes the whole trace.
+//! through [`SimSink`], which replays one synchronization interval at a time — in
+//! place from the generator's shards when it can — and never materializes the whole
+//! trace.  A `SimSink` can also carry a one-processor twin that replays every
+//! interval processor-folded, so one generation yields both the P-processor and the
+//! sequential counters.
 
-use smtrace::{Access, ObjectLayout, ProgramTrace, TraceSink};
+use smtrace::{Access, ObjectLayout, ProgramTrace, Shard, TraceSink};
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::directory::{procs_in, Directory};
@@ -126,6 +129,11 @@ impl MultiprocessorSim {
     /// Number of processors.
     pub fn num_procs(&self) -> usize {
         self.caches.len()
+    }
+
+    /// A fresh one-processor machine with this machine's cache and TLB geometry.
+    fn single_processor_twin(&self) -> MultiprocessorSim {
+        MultiprocessorSim::new(1, self.caches[0].config(), self.tlbs[0].config())
     }
 
     /// Page number of a byte address (shift when the page size is a power of two).
@@ -233,17 +241,18 @@ impl MultiprocessorSim {
     /// where only one processor is active — the sequential phases every application
     /// has — replay as a tight private loop with no interleaving machinery, and the
     /// round-robin loop only visits processors that still have accesses left.
-    pub fn run_interval(&mut self, streams: &[Vec<Access>], layout: &ObjectLayout) {
+    pub fn run_interval<S: AsRef<[Access]>>(&mut self, streams: &[S], layout: &ObjectLayout) {
         assert_eq!(streams.len(), self.num_procs(), "interval and machine sizes differ");
         // One multiply per access: last_byte = first_byte + size - 1 (the `ObjectLayout`
         // getters would compute the product twice).
         let size = layout.object_size;
         let base = layout.base_offset;
         for (p, stream) in streams.iter().enumerate() {
-            self.accesses[p] += stream.len() as u64;
+            self.accesses[p] += stream.as_ref().len() as u64;
         }
         let mut active: Vec<(usize, std::slice::Iter<'_, Access>)> = streams
             .iter()
+            .map(AsRef::as_ref)
             .enumerate()
             .filter(|(_, stream)| !stream.is_empty())
             .map(|(p, stream)| (p, stream.iter()))
@@ -301,17 +310,28 @@ impl MultiprocessorSim {
 /// A [`TraceSink`] that drives a [`MultiprocessorSim`] directly from a running
 /// application: streaming trace replay with no materialized [`ProgramTrace`].
 ///
-/// The sink buffers one synchronization interval at a time (the round-robin
-/// interleaving needs the complete interval) and replays it at every barrier; the
-/// per-processor buffers are reused across intervals, so steady-state replay allocates
-/// nothing.  Counters are byte-identical to materializing the trace and calling
-/// [`MultiprocessorSim::run_trace_with_layout`], because both paths feed the same
+/// The round-robin interleaving needs the complete interval, so the sink replays at
+/// every barrier.  An interval drained from a generator's shards
+/// ([`TraceSink::drain_shards`]) replays in place from the shards; events that arrive
+/// through `record`/`record_many` are buffered per processor first (buffers are
+/// reused across intervals, so steady-state replay allocates nothing).  Counters are
+/// byte-identical to materializing the trace and calling
+/// [`MultiprocessorSim::run_trace_with_layout`], because every path feeds the same
 /// per-interval replay.
+///
+/// [`SimSink::with_folded_twin`] adds a one-processor twin machine that replays each
+/// interval's per-processor streams concatenated in processor order.  Every
+/// application hands processor `p` a contiguous slice of its serial program order,
+/// so the folded stream is the application's one-processor trace, and the twin's
+/// counters equal a separate one-processor run's, from the same generation.
 #[derive(Debug)]
 pub struct SimSink {
     sim: MultiprocessorSim,
+    /// The processor-folded one-processor machine, when the sink carries one.
+    twin: Option<MultiprocessorSim>,
     layout: ObjectLayout,
-    /// The current interval's per-processor streams (cleared, not dropped, per barrier).
+    /// Per-processor streams of events recorded this interval (cleared, not dropped,
+    /// per barrier).
     buffers: Vec<Vec<Access>>,
 }
 
@@ -319,27 +339,50 @@ impl SimSink {
     /// Wrap a machine and the object layout accesses should be resolved against.
     pub fn new(sim: MultiprocessorSim, layout: ObjectLayout) -> Self {
         let buffers = vec![Vec::new(); sim.num_procs()];
-        SimSink { sim, layout, buffers }
+        SimSink { sim, twin: None, layout, buffers }
+    }
+
+    /// [`SimSink::new`] plus a one-processor twin of `sim`'s geometry that replays
+    /// every interval processor-folded; [`SimSink::finish_with_twin`] returns its
+    /// result.
+    pub fn with_folded_twin(sim: MultiprocessorSim, layout: ObjectLayout) -> Self {
+        let twin = Some(sim.single_processor_twin());
+        SimSink { twin, ..SimSink::new(sim, layout) }
     }
 
     fn replay_buffered(&mut self) {
-        self.sim.run_interval(&self.buffers, &self.layout);
+        replay(&mut self.sim, self.twin.as_mut(), &self.buffers, &self.layout);
         for buffer in &mut self.buffers {
             buffer.clear();
         }
     }
 
     /// Replay any buffered partial interval and return the simulation result.
-    pub fn finish(mut self) -> SimulationResult {
-        self.replay_buffered();
-        self.sim.result()
+    pub fn finish(self) -> SimulationResult {
+        self.finish_with_twin().0
     }
 
-    /// Replay any buffered partial interval and return the machine (for callers that
-    /// keep simulating, e.g. across several streamed runs).
-    pub fn into_machine(mut self) -> MultiprocessorSim {
+    /// Replay any buffered partial interval and return the machine's result together
+    /// with the folded twin's (`None` for a sink built without a twin).
+    pub fn finish_with_twin(mut self) -> (SimulationResult, Option<SimulationResult>) {
         self.replay_buffered();
-        self.sim
+        (self.sim.result(), self.twin.as_ref().map(MultiprocessorSim::result))
+    }
+}
+
+/// Replay one interval on `sim` and, processor-folded, on `twin`: on one processor,
+/// replaying the streams one after another is replaying their concatenation.
+fn replay<S: AsRef<[Access]>>(
+    sim: &mut MultiprocessorSim,
+    twin: Option<&mut MultiprocessorSim>,
+    streams: &[S],
+    layout: &ObjectLayout,
+) {
+    sim.run_interval(streams, layout);
+    if let Some(twin) = twin {
+        for stream in streams {
+            twin.run_interval(std::slice::from_ref(stream), layout);
+        }
     }
 }
 
@@ -366,12 +409,24 @@ impl TraceSink for SimSink {
     fn record_many(&mut self, proc: usize, accesses: &[Access]) {
         self.buffers[proc].extend_from_slice(accesses);
     }
+
+    fn drain_shards(&mut self, shards: &[Shard]) {
+        if self.buffers.iter().all(Vec::is_empty) {
+            // Nothing was recorded this interval: replay straight from the shards.
+            replay(&mut self.sim, self.twin.as_mut(), shards, &self.layout);
+        } else {
+            for (buffer, shard) in self.buffers.iter_mut().zip(shards) {
+                buffer.extend_from_slice(shard.accesses());
+            }
+            self.replay_buffered();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtrace::TraceBuilder;
+    use smtrace::{ShardSet, TraceBuilder};
 
     fn tiny_machine(procs: usize) -> MultiprocessorSim {
         MultiprocessorSim::new(procs, CacheConfig::new(1024, 64, 2), TlbConfig::new(4, 256))
@@ -478,6 +533,103 @@ mod tests {
 
         assert!(r2.tlb_misses() < r1.tlb_misses());
         assert!(r2.l2_misses() <= r1.l2_misses());
+    }
+
+    /// Three processors, four intervals with every kind of stream shape: shared
+    /// lines, an idle processor, a one-processor phase.  The streams overflow
+    /// `tiny_machine`'s cache and TLB, so the counters depend on replay order.
+    fn shard_intervals() -> Vec<Vec<Vec<Access>>> {
+        let mut state = 0x9e37_79b9_u32;
+        let mut stream = |len: usize| -> Vec<Access> {
+            (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 17;
+                    state ^= state << 5;
+                    let object = (state % 64) as usize;
+                    if state.is_multiple_of(3) {
+                        Access::write(object)
+                    } else {
+                        Access::read(object)
+                    }
+                })
+                .collect()
+        };
+        vec![
+            vec![stream(40), stream(35), stream(50)],
+            vec![stream(30), vec![], stream(45)],
+            vec![stream(60), vec![], vec![]],
+            vec![stream(25), stream(25), stream(25)],
+        ]
+    }
+
+    fn filled(shards: &mut ShardSet, interval: &[Vec<Access>]) {
+        for (p, stream) in interval.iter().enumerate() {
+            for &a in stream {
+                shards.shard_mut(p).record(a);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_record_many_and_mixed_drains_give_identical_counters() {
+        let layout = ObjectLayout::new(64, 48);
+        let intervals = shard_intervals();
+        // The oracle: every interval through `record_many` and a barrier.
+        let mut batched = SimSink::with_folded_twin(tiny_machine(3), layout.clone());
+        for interval in &intervals {
+            for (p, stream) in interval.iter().enumerate() {
+                batched.record_many(p, stream);
+            }
+            batched.barrier();
+        }
+        // In place: the shards are replayed where they lie.
+        let mut shards = ShardSet::new(3);
+        let mut in_place = SimSink::with_folded_twin(tiny_machine(3), layout.clone());
+        for interval in &intervals {
+            filled(&mut shards, interval);
+            shards.drain_interval(&mut in_place);
+        }
+        // Mixed: each processor's first access is `record`ed directly, the rest of
+        // the interval arrives as a shard drain.
+        let mut mixed = SimSink::with_folded_twin(tiny_machine(3), layout);
+        for interval in &intervals {
+            let mut rest = Vec::new();
+            for (p, stream) in interval.iter().enumerate() {
+                if let Some((&first, tail)) = stream.split_first() {
+                    mixed.record(p, first);
+                    rest.push(tail.to_vec());
+                } else {
+                    rest.push(Vec::new());
+                }
+            }
+            filled(&mut shards, &rest);
+            shards.drain_interval(&mut mixed);
+        }
+        let expected = batched.finish_with_twin();
+        assert!(expected.0.coherence_misses() > 0, "the intervals must share lines");
+        assert_eq!(in_place.finish_with_twin(), expected);
+        assert_eq!(mixed.finish_with_twin(), expected);
+    }
+
+    #[test]
+    fn folded_twin_equals_a_one_processor_run_of_the_concatenated_streams() {
+        let layout = ObjectLayout::new(64, 48);
+        let mut sink = SimSink::with_folded_twin(tiny_machine(3), layout.clone());
+        let mut serial = SimSink::new(tiny_machine(1), layout);
+        let mut shards = ShardSet::new(3);
+        for interval in &shard_intervals() {
+            filled(&mut shards, interval);
+            shards.drain_interval(&mut sink);
+            serial.record_many(0, &interval.concat());
+            serial.barrier();
+        }
+        let (par, twin) = sink.finish_with_twin();
+        let twin = twin.expect("built with a twin");
+        assert_eq!(twin, serial.finish());
+        assert_eq!(twin.per_proc.len(), 1);
+        assert_eq!(twin.totals().accesses, par.totals().accesses);
+        assert_eq!(twin.coherence_misses(), 0);
     }
 
     #[test]

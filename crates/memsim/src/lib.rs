@@ -19,8 +19,9 @@
 //! * [`coherence::MultiprocessorSim`] — P caches plus the directory; replaying an
 //!   interleaved trace yields cold/capacity *and* coherence (false-sharing) misses per
 //!   processor.  [`coherence::SimSink`] replays *streaming* traces (one
-//!   synchronization interval buffered at a time, no materialized trace) with
-//!   byte-identical counters.
+//!   synchronization interval at a time, in place from the generator's shards, no
+//!   materialized trace) with byte-identical counters, optionally with a
+//!   processor-folded one-processor twin.
 //! * [`reference::ReferenceSim`] — the original scan-based simulator, preserved as the
 //!   executable specification and the `sim-throughput` bench baseline.
 //! * [`sharing`] — the page-sharing analyses behind Figures 1, 2, 4, 5 and 6.

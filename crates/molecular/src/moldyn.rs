@@ -15,7 +15,7 @@
 
 use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
-use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
+use smtrace::{CachePadded, ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
 use crate::cellgrid::CellGrid;
 
@@ -24,7 +24,7 @@ use crate::cellgrid::CellGrid;
 #[derive(Debug, Default)]
 struct ShardScratch {
     ranges: Vec<std::ops::Range<usize>>,
-    forces: Vec<Vec<[f64; 3]>>,
+    forces: Vec<CachePadded<Vec<[f64; 3]>>>,
 }
 
 /// Object size (bytes) of a Moldyn molecule record, from Table 1 of the paper.
@@ -344,7 +344,7 @@ impl Moldyn {
             scratch.ranges.push(start..end);
             start = end;
         }
-        scratch.forces.resize_with(num_procs, Vec::new);
+        scratch.forces.resize_with(num_procs, Default::default);
         // Interval 1: force computation over the interaction list.
         {
             let this = &*self;
@@ -373,7 +373,7 @@ impl Moldyn {
         // Apply the precomputed pair forces in global pair order (the ranges tile the
         // sorted list), reproducing the serial sweep's accumulation order exactly.
         for (range, forces) in scratch.ranges.iter().zip(&scratch.forces) {
-            for (&(i, j), f) in self.pairs[range.clone()].iter().zip(forces) {
+            for (&(i, j), f) in self.pairs[range.clone()].iter().zip(forces.iter()) {
                 for k in 0..3 {
                     self.molecules[i as usize].force[k] += f[k];
                     self.molecules[j as usize].force[k] -= f[k];

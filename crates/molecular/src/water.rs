@@ -16,7 +16,7 @@
 
 use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
-use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
+use smtrace::{CachePadded, ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
 use crate::cellgrid::CellGrid;
 
@@ -30,8 +30,8 @@ type MoleculeForce = ([f64; 3], f64);
 struct ShardScratch {
     owners: Vec<usize>,
     cells: Vec<Vec<u32>>,
-    reads: Vec<Vec<u32>>,
-    outputs: Vec<Vec<(u32, MoleculeForce)>>,
+    reads: Vec<CachePadded<Vec<u32>>>,
+    outputs: Vec<CachePadded<Vec<(u32, MoleculeForce)>>>,
     forces: Vec<MoleculeForce>,
 }
 
@@ -302,8 +302,8 @@ impl WaterSpatial {
         for c in 0..self.grid.num_cells() {
             scratch.cells[scratch.owners[c]].push(c as u32);
         }
-        scratch.reads.resize_with(num_procs, Vec::new);
-        scratch.outputs.resize_with(num_procs, Vec::new);
+        scratch.reads.resize_with(num_procs, Default::default);
+        scratch.outputs.resize_with(num_procs, Default::default);
         // Interval 1: force computation, slab by slab.
         {
             let this = &*self;
@@ -350,7 +350,7 @@ impl WaterSpatial {
         scratch.forces.clear();
         scratch.forces.resize(self.molecules.len(), ([0.0; 3], 0.0));
         for outputs in &scratch.outputs {
-            for &(m, r) in outputs {
+            for &(m, r) in outputs.iter() {
                 scratch.forces[m as usize] = r;
             }
         }

@@ -18,7 +18,7 @@
 
 use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
-use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
+use smtrace::{CachePadded, ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
 use crate::body::{Body, BODY_BYTES_FIG};
 use crate::octree::{NodeId, Octree};
@@ -61,16 +61,16 @@ struct ForceResult {
 struct ShardScratch {
     order: Vec<u32>,
     parts: Vec<Vec<u32>>,
-    results: Vec<Vec<ForceResult>>,
-    reads: Vec<Vec<u32>>,
-    stacks: Vec<Vec<NodeId>>,
+    results: Vec<CachePadded<Vec<ForceResult>>>,
+    reads: Vec<CachePadded<Vec<u32>>>,
+    stacks: Vec<CachePadded<Vec<NodeId>>>,
 }
 
 impl ShardScratch {
     fn resize(&mut self, num_procs: usize) {
-        self.results.resize_with(num_procs, Vec::new);
-        self.reads.resize_with(num_procs, Vec::new);
-        self.stacks.resize_with(num_procs, Vec::new);
+        self.results.resize_with(num_procs, Default::default);
+        self.reads.resize_with(num_procs, Default::default);
+        self.stacks.resize_with(num_procs, Default::default);
     }
 }
 

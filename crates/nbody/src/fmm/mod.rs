@@ -23,7 +23,7 @@ pub mod quadtree;
 
 use rayon::prelude::*;
 use reorder::{reorder_by_method, Method, Reordering};
-use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
+use smtrace::{CachePadded, ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 
 use crate::body::{Body, BODY_BYTES_FIG};
 use crate::vec3::Vec3;
@@ -74,17 +74,17 @@ struct FmmPartition {
 #[derive(Debug, Default)]
 struct ShardScratch {
     partition: FmmPartition,
-    leaf_out: Vec<Vec<(Vec3, f64)>>,
-    leaf_reads: Vec<Vec<Vec<u32>>>,
-    results: Vec<Vec<(u32, Vec3, f64)>>,
+    leaf_out: Vec<CachePadded<Vec<(Vec3, f64)>>>,
+    leaf_reads: Vec<CachePadded<Vec<Vec<u32>>>>,
+    results: Vec<CachePadded<Vec<(u32, Vec3, f64)>>>,
     all_results: Vec<(Vec3, f64)>,
 }
 
 impl ShardScratch {
     fn resize(&mut self, num_procs: usize) {
-        self.leaf_out.resize_with(num_procs, Vec::new);
-        self.leaf_reads.resize_with(num_procs, Vec::new);
-        self.results.resize_with(num_procs, Vec::new);
+        self.leaf_out.resize_with(num_procs, Default::default);
+        self.leaf_reads.resize_with(num_procs, Default::default);
+        self.results.resize_with(num_procs, Default::default);
     }
 }
 
@@ -471,7 +471,8 @@ impl Fmm {
                 results.clear();
                 for &c in leaves {
                     let leaf_bodies = &tree.leaf_bodies[c as usize];
-                    leaf_reads.resize_with(leaf_bodies.len().max(leaf_reads.len()), Vec::new);
+                    let len = leaf_bodies.len().max(leaf_reads.len());
+                    leaf_reads.resize_with(len, Vec::new);
                     this.eval_leaf_intra(
                         leaf_bodies,
                         &locals[c as usize],
@@ -521,7 +522,7 @@ impl Fmm {
         scratch.all_results.clear();
         scratch.all_results.resize(self.bodies.len(), (Vec3::ZERO, 0.0));
         for results in &scratch.results {
-            for &(bi, acc, phi) in results {
+            for &(bi, acc, phi) in results.iter() {
                 scratch.all_results[bi as usize] = (acc, phi);
             }
         }

@@ -23,7 +23,9 @@
 //! * [`ShardSet`] — the parallel producer side of that contract: per-virtual-processor
 //!   append-only buffers that rayon tasks fill concurrently, drained deterministically
 //!   into any sink so every downstream counter stays bit-identical to the serial
-//!   traced paths;
+//!   traced paths (a sink may read the drained shards in place through
+//!   [`TraceSink::drain_shards`]); [`CachePadded`] keeps per-processor state on
+//!   separate cache lines;
 //! * [`TraceBuilder`] / [`ProgramTrace`] — the materializing sink: per-processor,
 //!   per-interval access streams separated by barriers (and annotated with lock
 //!   acquisitions), kept for analyses that re-read the trace under several layouts;
@@ -82,6 +84,6 @@ pub use codec::{CodecError, CorpusReader, CorpusSummary, CorpusWriter, SalvageOu
 pub use durable::AtomicFile;
 pub use layout::{ConsistencyGranularity, ObjectLayout};
 pub use sets::{SharingHistogram, UnitAccessSets};
-pub use shard::{Shard, ShardSet};
+pub use shard::{CachePadded, Shard, ShardSet};
 pub use sink::{IntervalUnitSets, NullSink, TeeSink, TraceSink, UnitSetsSink};
 pub use trace::{IntervalTrace, ProgramTrace, SyncEvent, TraceBuilder};

@@ -10,9 +10,11 @@
 //! * each virtual processor gets a [`Shard`] — an append-only buffer of packed
 //!   4-byte [`Access`]es plus its lock acquisitions — that a rayon task fills
 //!   independently while it runs that processor's chunk of the computation;
-//! * [`ShardSet::drain_interval`] then replays the shards into the sink **in
-//!   processor order**, one `record_many` batch per processor, and closes the
-//!   synchronization interval with a barrier.
+//! * [`ShardSet::drain_interval`] then hands the borrowed shards to the sink's
+//!   [`TraceSink::drain_shards`], which by default replays them **in processor
+//!   order**, one `record_many` batch per processor, and closes the synchronization
+//!   interval with a barrier.  A sink that can consume the interval in place (the
+//!   hardware simulator's `SimSink`) reads the shards directly instead of copying them.
 //!
 //! Determinism argument: every sink in this workspace ([`crate::TraceBuilder`],
 //! [`crate::UnitSetsSink`], the simulator and page-history sinks) keys its state on
@@ -25,13 +27,46 @@
 //!
 //! Buffers are cleared, never dropped, by the drain, so steady-state generation
 //! allocates nothing once the first interval has sized the shards.
+//!
+//! Each [`Shard`] is 128-byte aligned, and the applications keep their other
+//! per-processor scratch in [`CachePadded`] slots, so two tasks filling neighbouring
+//! processors' buffers never write to the same host cache line (false sharing is the
+//! host-side twin of the page and line sharing the simulated machines count).
+
+use std::ops::{Deref, DerefMut};
 
 use crate::access::Access;
 use crate::sink::TraceSink;
 
+/// A value aligned (and so padded) to 128 bytes: two adjacent `CachePadded` slots
+/// never share a cache line, nor an adjacent-line prefetch pair, so per-processor
+/// state written by concurrent tasks does not false-share.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
 /// One virtual processor's append-only event buffer for the current synchronization
 /// interval: its accesses in program order plus the ids of the locks it acquired.
+///
+/// 128-byte aligned, so the shards of a [`ShardSet`] sit on separate cache lines.
 #[derive(Debug, Default, Clone)]
+#[repr(align(128))]
 pub struct Shard {
     accesses: Vec<Access>,
     lock_ids: Vec<u32>,
@@ -66,6 +101,11 @@ impl Shard {
         &self.accesses
     }
 
+    /// The ids of the locks acquired so far, in append order.
+    pub fn locks(&self) -> &[u32] {
+        &self.lock_ids
+    }
+
     /// Number of buffered accesses.
     pub fn len(&self) -> usize {
         self.accesses.len()
@@ -80,6 +120,12 @@ impl Shard {
     fn clear(&mut self) {
         self.accesses.clear();
         self.lock_ids.clear();
+    }
+}
+
+impl AsRef<[Access]> for Shard {
+    fn as_ref(&self) -> &[Access] {
+        &self.accesses
     }
 }
 
@@ -126,36 +172,25 @@ impl ShardSet {
         self.shards.iter().map(Shard::len).sum()
     }
 
-    /// Replay the buffered interval into `sink` without closing it: one `record_many`
-    /// batch plus the lock acquisitions per processor, in ascending processor order —
+    /// Hand the buffered interval to `sink` and close it:
+    /// [`TraceSink::drain_shards`] receives the shards in processor order (by default
     /// the same event stream [`crate::ProgramTrace::replay_into`] produces for a
-    /// materialized interval.  Buffers are cleared (capacity kept).
+    /// materialized interval, followed by the barrier).  Buffers are then cleared
+    /// (capacity kept).
     ///
     /// # Panics
     /// Panics if the sink disagrees on the processor count.
-    pub fn drain_open<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
+    pub fn drain_interval<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         assert_eq!(sink.num_procs(), self.num_procs(), "sink must match the processor count");
         // Fault site for the whole sink pipeline: everything the generators produce
         // funnels through this drain, so an injected panic or delay here exercises a
         // cell dying (or stalling) mid-stream.  Inert unless the `failpoints`
         // feature is on and the point is configured (DESIGN.md §13).
         failpoint::point!("trace/drain");
-        for (proc, shard) in self.shards.iter_mut().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
-            sink.record_many(proc, &shard.accesses);
-            for &lock in &shard.lock_ids {
-                sink.lock(proc, lock);
-            }
+        sink.drain_shards(&self.shards);
+        for shard in &mut self.shards {
             shard.clear();
         }
-    }
-
-    /// [`ShardSet::drain_open`] followed by the barrier that closes the interval.
-    pub fn drain_interval<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
-        self.drain_open(sink);
-        sink.barrier();
     }
 }
 
@@ -217,14 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn drain_open_leaves_the_interval_unclosed() {
-        let mut shards = ShardSet::new(1);
-        shards.shard_mut(0).write(1);
-        let mut builder = TraceBuilder::new(layout(), 1);
-        shards.drain_open(&mut builder);
-        let trace = builder.finish();
-        assert_eq!(trace.num_barriers(), 0);
-        assert_eq!(trace.intervals.len(), 1, "partial End interval is kept");
+    fn shards_and_padded_slots_never_share_a_cache_line() {
+        assert_eq!(std::mem::align_of::<Shard>(), 128);
+        assert_eq!(std::mem::size_of::<CachePadded<Vec<u32>>>(), 128);
+        let mut shards = ShardSet::new(3);
+        let addrs: Vec<usize> =
+            shards.shards_mut().iter().map(|s| s as *const Shard as usize).collect();
+        assert!(addrs.windows(2).all(|w| w[1] - w[0] >= 128 && w[0] % 128 == 0));
+        let mut slots: Vec<CachePadded<Vec<u32>>> = Vec::new();
+        slots.resize_with(2, Default::default);
+        slots[1].push(2);
+        assert_eq!((&*slots[0], &*slots[1]), (&vec![], &vec![2]));
+        assert_eq!(&slots[1] as *const _ as usize - &slots[0] as *const _ as usize, 128);
     }
 
     #[test]

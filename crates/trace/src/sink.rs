@@ -14,6 +14,7 @@
 use crate::access::Access;
 use crate::layout::ObjectLayout;
 use crate::sets::UnitAccessSets;
+use crate::shard::Shard;
 
 /// A consumer of a streamed trace: per-processor accesses and lock acquisitions,
 /// punctuated by barriers that close synchronization intervals.
@@ -54,6 +55,28 @@ pub trait TraceSink {
         for &a in accesses {
             self.record(proc, a);
         }
+    }
+
+    /// Receive the rest of the current interval as borrowed per-processor
+    /// [`Shard`]s (`shards[p]` holds processor `p`'s events) and close the interval —
+    /// what [`crate::ShardSet::drain_interval`] calls.
+    ///
+    /// The default replays each non-empty shard as one `record_many` batch plus its
+    /// lock acquisitions, in ascending processor order, then calls `barrier`: the
+    /// event stream [`crate::ProgramTrace::replay_into`] emits for a materialized
+    /// interval.  A sink that can consume the streams where they lie overrides it to
+    /// skip the copy.
+    fn drain_shards(&mut self, shards: &[Shard]) {
+        for (proc, shard) in shards.iter().enumerate() {
+            if shard.is_empty() {
+                continue;
+            }
+            self.record_many(proc, shard.accesses());
+            for &lock in shard.locks() {
+                self.lock(proc, lock);
+            }
+        }
+        self.barrier();
     }
 }
 

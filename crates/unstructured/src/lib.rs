@@ -38,7 +38,7 @@
 use rayon::prelude::*;
 use reorder::graph::{rcm_ordering, Adjacency};
 use reorder::{compute_reordering, Method, Reordering};
-use smtrace::{ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
+use smtrace::{CachePadded, ObjectLayout, ProgramTrace, ShardSet, TraceBuilder, TraceSink};
 use workloads::UnstructuredMesh;
 
 /// Reusable buffers for the sharded traced path: per-chunk edge fluxes and face means
@@ -46,8 +46,8 @@ use workloads::UnstructuredMesh;
 /// [`Unstructured::stream_sweeps`].
 #[derive(Debug, Default)]
 struct ShardScratch {
-    fluxes: Vec<Vec<f64>>,
-    means: Vec<Vec<f64>>,
+    fluxes: Vec<CachePadded<Vec<f64>>>,
+    means: Vec<CachePadded<Vec<f64>>>,
     delta: Vec<f64>,
 }
 
@@ -333,7 +333,7 @@ impl Unstructured {
         // Interval 1: edge loop.
         let edges_per_proc = self.edges.len().div_ceil(num_procs).max(1);
         let num_edge_chunks = self.edges.chunks(edges_per_proc).len();
-        scratch.fluxes.resize_with(num_edge_chunks, Vec::new);
+        scratch.fluxes.resize_with(num_edge_chunks, Default::default);
         {
             let this = &*self;
             let tasks: Vec<_> = shards
@@ -363,7 +363,7 @@ impl Unstructured {
         // Interval 2: face loop.
         let faces_per_proc = self.faces.len().div_ceil(num_procs).max(1);
         let num_face_chunks = self.faces.chunks(faces_per_proc).len();
-        scratch.means.resize_with(num_face_chunks, Vec::new);
+        scratch.means.resize_with(num_face_chunks, Default::default);
         {
             let this = &*self;
             let tasks: Vec<_> = shards
@@ -416,13 +416,13 @@ impl Unstructured {
         scratch.delta.clear();
         scratch.delta.resize(n, 0.0);
         for (chunk, fluxes) in self.edges.chunks(edges_per_proc).zip(&scratch.fluxes) {
-            for (&(a, b), &flux) in chunk.iter().zip(fluxes) {
+            for (&(a, b), &flux) in chunk.iter().zip(fluxes.iter()) {
                 scratch.delta[a as usize] += flux;
                 scratch.delta[b as usize] -= flux;
             }
         }
         for (chunk, means) in self.faces.chunks(faces_per_proc).zip(&scratch.means) {
-            for (f, &mean) in chunk.iter().zip(means) {
+            for (f, &mean) in chunk.iter().zip(means.iter()) {
                 for &v in f {
                     scratch.delta[v as usize] +=
                         self.params.face_coeff * (mean - self.nodes[v as usize].value);
